@@ -1,6 +1,6 @@
 //! A hand-rolled Rust lexer: just enough token structure for the audit
-//! passes, in the house style of `scenario::json` (byte scanner, no
-//! `syn`, no regex).
+//! passes, in the house style of the `tokenflow-json` parser (byte
+//! scanner, no `syn`, no regex).
 //!
 //! The passes only need to distinguish identifiers, literals, comments,
 //! and punctuation, and to know where every token starts — so that is

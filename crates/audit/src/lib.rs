@@ -22,10 +22,11 @@
 //!    and every crate with no unsafe at all must
 //!    `#![forbid(unsafe_code)]`.
 //!
-//! The tool is self-contained (hand-rolled lexer in the house style of
-//! `scenario::json`; no `syn`, no dependencies) and exposes a library
-//! surface so the fixture self-tests and the live-workspace test can
-//! drive the exact code path the `cargo run -p audit` binary uses.
+//! The tool is self-contained (hand-rolled lexer, no `syn`; its one
+//! dependency is the zero-dependency `tokenflow-json` codec) and exposes
+//! a library surface so the fixture self-tests and the live-workspace
+//! test can drive the exact code path the `cargo run -p audit` binary
+//! uses.
 //! See DESIGN.md §8 for the tier map, the pass taxonomy, the annotation
 //! grammar, and the baseline-ratchet policy.
 

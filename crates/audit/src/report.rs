@@ -2,180 +2,108 @@
 //!
 //! The report (`tokenflow-audit/v1`) is what CI schema-validates; the
 //! baseline (`tokenflow-audit-baseline/v1`) is the committed ratchet.
-//! Both are emitted with a hand-rolled writer in the canonical style of
-//! `scenario::json` — two-space indent, sorted-by-construction keys —
-//! so a byte-for-byte stable artifact falls out of a stable audit.
+//! Both are built as [`Json`] values and rendered by the workspace codec
+//! (`emit_pretty`: two-space indent, keys in construction order), so a
+//! byte-for-byte stable artifact falls out of a stable audit.
 
 use std::collections::BTreeMap;
 
+use tokenflow_json::{self as json, ni, obj, s, Json};
+
 use crate::AuditOutcome;
+
+const BASELINE_SCHEMA: &str = "tokenflow-audit-baseline/v1";
 
 /// Renders the full audit report as canonical JSON.
 pub fn report_json(outcome: &AuditOutcome, baseline: &BTreeMap<String, u64>) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tokenflow-audit/v1\",\n");
-    let clean = if outcome.findings.is_empty() {
-        "true"
-    } else {
-        "false"
-    };
-    push_kv(&mut s, 2, "clean", clean, true);
-    push_kv(
-        &mut s,
-        2,
-        "files_scanned",
-        &outcome.files_scanned.to_string(),
-        true,
-    );
-    s.push_str("  \"crates\": [\n");
-    for (i, c) in outcome.crates.iter().enumerate() {
-        s.push_str("    {\n");
-        push_str_kv(&mut s, 6, "name", c.name, true);
-        push_str_kv(&mut s, 6, "tier", c.tier.name(), true);
-        push_kv(&mut s, 6, "files", &c.files.to_string(), true);
-        push_kv(&mut s, 6, "panic_surface", &c.panic_count.to_string(), true);
-        let budget = baseline.get(c.name).copied();
-        match budget {
-            Some(b) => push_kv(&mut s, 6, "panic_baseline", &b.to_string(), false),
-            None => push_kv(&mut s, 6, "panic_baseline", "null", false),
-        }
-        s.push_str(if i + 1 < outcome.crates.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"allows\": [\n");
-    for (i, (file, a)) in outcome.allows.iter().enumerate() {
-        s.push_str("    {\n");
-        push_str_kv(&mut s, 6, "file", file, true);
-        push_kv(&mut s, 6, "line", &a.line.to_string(), true);
-        push_str_kv(&mut s, 6, "pass", a.pass.name(), true);
-        push_str_kv(&mut s, 6, "reason", &a.reason, false);
-        s.push_str(if i + 1 < outcome.allows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"findings\": [\n");
-    for (i, d) in outcome.findings.iter().enumerate() {
-        s.push_str("    {\n");
-        push_str_kv(&mut s, 6, "pass", d.pass.name(), true);
-        push_str_kv(&mut s, 6, "code", d.code, true);
-        push_str_kv(&mut s, 6, "file", &d.file, true);
-        push_kv(&mut s, 6, "line", &d.line.to_string(), true);
-        push_kv(&mut s, 6, "col", &d.col.to_string(), true);
-        push_str_kv(&mut s, 6, "message", &d.message, false);
-        s.push_str(if i + 1 < outcome.findings.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+    let crates = outcome
+        .crates
+        .iter()
+        .map(|c| {
+            obj(vec![
+                ("name", s(c.name)),
+                ("tier", s(c.tier.name())),
+                ("files", ni(c.files as u64)),
+                ("panic_surface", ni(c.panic_count)),
+                (
+                    "panic_baseline",
+                    baseline.get(c.name).map_or(Json::Null, |&b| ni(b)),
+                ),
+            ])
+        })
+        .collect();
+    let allows = outcome
+        .allows
+        .iter()
+        .map(|(file, a)| {
+            obj(vec![
+                ("file", s(file)),
+                ("line", ni(a.line.into())),
+                ("pass", s(a.pass.name())),
+                ("reason", s(&a.reason)),
+            ])
+        })
+        .collect();
+    let findings = outcome
+        .findings
+        .iter()
+        .map(|d| {
+            obj(vec![
+                ("pass", s(d.pass.name())),
+                ("code", s(d.code)),
+                ("file", s(&d.file)),
+                ("line", ni(d.line.into())),
+                ("col", ni(d.col.into())),
+                ("message", s(&d.message)),
+            ])
+        })
+        .collect();
+    obj(vec![
+        ("schema", s("tokenflow-audit/v1")),
+        ("clean", Json::Bool(outcome.findings.is_empty())),
+        ("files_scanned", ni(outcome.files_scanned as u64)),
+        ("crates", Json::Arr(crates)),
+        ("allows", Json::Arr(allows)),
+        ("findings", Json::Arr(findings)),
+    ])
+    .emit_pretty()
 }
 
 /// Renders the committed baseline file.
 pub fn baseline_json(counts: &BTreeMap<String, u64>) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tokenflow-audit-baseline/v1\",\n");
-    s.push_str("  \"panic_surface\": {\n");
-    for (i, (name, count)) in counts.iter().enumerate() {
-        s.push_str("    ");
-        write_str(&mut s, name);
-        s.push_str(": ");
-        s.push_str(&count.to_string());
-        s.push_str(if i + 1 < counts.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
+    let surface = counts
+        .iter()
+        .map(|(name, &count)| (name.clone(), ni(count)))
+        .collect();
+    obj(vec![
+        ("schema", s(BASELINE_SCHEMA)),
+        ("panic_surface", Json::Obj(surface)),
+    ])
+    .emit_pretty()
 }
 
-/// Parses a baseline file. This is a purpose-built reader for the flat
-/// `"panic_surface": { "name": count, ... }` shape `baseline_json`
-/// emits — the audit crate deliberately has zero dependencies, and the
-/// full `scenario::json` parser would be one.
+/// Parses a baseline file. The codec rejects duplicate keys, so a
+/// crate named twice (say, after a bad merge) is an error rather than
+/// a silently loosened budget.
 pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, u64>, String> {
-    if !text.contains("\"tokenflow-audit-baseline/v1\"") {
-        return Err("baseline missing schema tokenflow-audit-baseline/v1".to_string());
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    if doc.get("schema").and_then(Json::as_str) != Some(BASELINE_SCHEMA) {
+        return Err(format!("baseline missing schema {BASELINE_SCHEMA}"));
     }
-    let start = text
-        .find("\"panic_surface\"")
-        .ok_or("baseline missing panic_surface")?;
-    let body = &text[start..];
-    let open = body.find('{').ok_or("panic_surface is not an object")?;
-    let close = body[open..]
-        .find('}')
-        .ok_or("unterminated panic_surface object")?;
-    let inner = &body[open + 1..open + close];
-    let mut counts = BTreeMap::new();
-    for entry in inner.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (key, value) = entry
-            .split_once(':')
-            .ok_or_else(|| format!("malformed baseline entry `{entry}`"))?;
-        let key = key.trim();
-        let key = key
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("baseline key `{key}` is not a string"))?;
-        let value: u64 = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("baseline count for `{key}` is not a non-negative integer"))?;
-        counts.insert(key.to_string(), value);
-    }
-    Ok(counts)
-}
-
-fn push_kv(s: &mut String, indent: usize, key: &str, raw: &str, comma: bool) {
-    for _ in 0..indent {
-        s.push(' ');
-    }
-    write_str(s, key);
-    s.push_str(": ");
-    s.push_str(raw);
-    s.push_str(if comma { ",\n" } else { "\n" });
-}
-
-fn push_str_kv(s: &mut String, indent: usize, key: &str, value: &str, comma: bool) {
-    for _ in 0..indent {
-        s.push(' ');
-    }
-    write_str(s, key);
-    s.push_str(": ");
-    write_str(s, value);
-    s.push_str(if comma { ",\n" } else { "\n" });
-}
-
-/// JSON string escaping, in the style of `scenario::json::write_str`.
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let surface = doc
+        .get("panic_surface")
+        .ok_or("baseline missing panic_surface")?
+        .as_obj()
+        .ok_or("panic_surface is not an object")?;
+    surface
+        .iter()
+        .map(|(name, count)| {
+            let count = count.as_u64().ok_or_else(|| {
+                format!("baseline count for `{name}` is not a non-negative integer")
+            })?;
+            Ok((name.clone(), count))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -194,13 +122,39 @@ mod tests {
     #[test]
     fn baseline_rejects_wrong_schema() {
         assert!(parse_baseline("{\"schema\": \"other/v1\"}").is_err());
+        // The schema is read from the `schema` member, not found anywhere
+        // in the text.
+        let elsewhere = r#"{"schema": "other/v1", "note": "tokenflow-audit-baseline/v1",
+                             "panic_surface": {}}"#;
+        assert!(parse_baseline(elsewhere).is_err());
+    }
+
+    #[test]
+    fn baseline_rejects_duplicate_crates() {
+        let text = r#"{"schema": "tokenflow-audit-baseline/v1",
+                       "panic_surface": {"sched": 58, "sched": 0}}"#;
+        let err = parse_baseline(text).unwrap_err();
+        assert!(err.contains("duplicate key"), "{err}");
+    }
+
+    #[test]
+    fn baseline_rejects_non_integer_counts() {
+        for bad in ["-1", "1.5", "\"3\""] {
+            let text = format!(
+                "{{\"schema\": \"tokenflow-audit-baseline/v1\", \"panic_surface\": {{\"kv\": {bad}}}}}"
+            );
+            assert!(parse_baseline(&text).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn report_is_valid_shape_for_empty_outcome() {
         let outcome = AuditOutcome::default();
-        let text = report_json(&outcome, &BTreeMap::new());
-        assert!(text.contains("\"schema\": \"tokenflow-audit/v1\""));
-        assert!(text.contains("\"clean\": true"));
+        let doc = json::parse(&report_json(&outcome, &BTreeMap::new())).unwrap();
+        assert_eq!(doc.get("schema"), Some(&s("tokenflow-audit/v1")));
+        assert_eq!(doc.get("clean"), Some(&Json::Bool(true)));
+        for key in ["crates", "allows", "findings"] {
+            assert_eq!(doc.get(key), Some(&Json::Arr(Vec::new())), "{key}");
+        }
     }
 }

@@ -10,9 +10,10 @@
 //! The map here is the contract of record. Each crate additionally
 //! declares its own tier in its crate root (`// audit: tier(...)`), and
 //! the audit cross-checks the two: a crate silently moving across the
-//! boundary is a finding, not a drift. The `vendor/` stand-ins are
-//! outside the map — they are pinned third-party substitutes, not
-//! grown code.
+//! boundary is a finding, not a drift. Every non-`vendor/` workspace
+//! member has an entry (the live-workspace test checks both directions);
+//! the `vendor/` stand-ins are outside the map — they are pinned
+//! third-party substitutes, not grown code.
 
 use std::fs;
 use std::io;
@@ -51,6 +52,11 @@ pub struct CrateSpec {
 
 /// The committed tier map: every workspace crate, vendor excluded.
 pub const WORKSPACE: &[CrateSpec] = &[
+    CrateSpec {
+        name: "json",
+        dir: "crates/json",
+        tier: Tier::Deterministic,
+    },
     CrateSpec {
         name: "sim",
         dir: "crates/sim",

@@ -26,10 +26,12 @@ use tokenflow_cluster::{
 use tokenflow_control::{ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy};
 use tokenflow_core::EngineConfig;
 use tokenflow_model::{HardwareProfile, ModelProfile};
+use tokenflow_scenario::json::{n, ni, obj, s, Json};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::{diurnal_flash_crowd, RateDist, Workload};
 
+use crate::experiments::fixed;
 use crate::table::{f, Table};
 
 /// One fleet configuration's results on the stress trace.
@@ -311,52 +313,53 @@ pub fn within_envelope(baseline: &AutoscaleRow, elastic: &AutoscaleRow) -> Resul
     Ok(())
 }
 
-/// Renders the rows as machine-readable JSON (hand-rolled: the vendored
-/// serde stand-in has no serializer; the shape is one `rows` array of
-/// flat objects, stable across commits for trend tooling).
+/// Renders the rows as machine-readable JSON through the workspace codec
+/// (`tokenflow_scenario::json`): one `rows` array of flat objects, stable
+/// across commits for trend tooling and CI's `BENCH_autoscale.json` gate.
 pub fn autoscale_json(setup: &AutoscaleSetup, rows: &[AutoscaleRow]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"autoscale\",\n");
-    s.push_str("  \"router\": \"backlog-aware\",\n");
-    s.push_str("  \"scheduler\": \"TokenFlow\",\n");
-    s.push_str(&format!(
-        "  \"workload\": {{\"duration_secs\": {}, \"crowd\": {}, \"crowd_waves\": {}, \
-         \"base_peak_rate\": {:.2}, \"seed\": {}}},\n",
-        setup.duration.as_secs_f64(),
-        setup.crowd,
-        setup.crowd_waves,
-        setup.base_peak_rate,
-        setup.seed,
-    ));
-    s.push_str(&format!(
-        "  \"fleet\": {{\"static\": {}, \"bootstrap\": {}, \"min\": {}, \"max\": {}, \
-         \"boot_delay_secs\": {:.1}}},\n",
-        setup.static_fleet,
-        setup.bootstrap,
-        setup.min_fleet,
-        setup.max_fleet,
-        setup.boot_delay.as_secs_f64(),
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"fleet\": \"{}\", \"replica_seconds\": {:.1}, \"peak_active\": {}, \
-             \"mean_active\": {:.2}, \"p99_ttft\": {:.4}, \"rebuffer_secs\": {:.3}, \
-             \"qos\": {:.3}, \"scale_events\": {}, \"complete\": {}}}{}\n",
-            r.fleet,
-            r.replica_seconds,
-            r.peak_active,
-            r.mean_active,
-            r.p99_ttft,
-            r.rebuffer_secs,
-            r.qos,
-            r.scale_events,
-            r.complete,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = rows
+        .iter()
+        .map(|r| {
+            obj(vec![
+                ("fleet", s(&r.fleet)),
+                ("replica_seconds", fixed(r.replica_seconds, 1)),
+                ("peak_active", ni(r.peak_active as u64)),
+                ("mean_active", fixed(r.mean_active, 2)),
+                ("p99_ttft", fixed(r.p99_ttft, 4)),
+                ("rebuffer_secs", fixed(r.rebuffer_secs, 3)),
+                ("qos", fixed(r.qos, 3)),
+                ("scale_events", ni(r.scale_events as u64)),
+                ("complete", Json::Bool(r.complete)),
+            ])
+        })
+        .collect();
+    obj(vec![
+        ("experiment", s("autoscale")),
+        ("router", s("backlog-aware")),
+        ("scheduler", s("TokenFlow")),
+        (
+            "workload",
+            obj(vec![
+                ("duration_secs", n(setup.duration.as_secs_f64())),
+                ("crowd", ni(setup.crowd.into())),
+                ("crowd_waves", ni(setup.crowd_waves.into())),
+                ("base_peak_rate", fixed(setup.base_peak_rate, 2)),
+                ("seed", ni(setup.seed)),
+            ]),
+        ),
+        (
+            "fleet",
+            obj(vec![
+                ("static", ni(setup.static_fleet as u64)),
+                ("bootstrap", ni(setup.bootstrap as u64)),
+                ("min", ni(setup.min_fleet as u64)),
+                ("max", ni(setup.max_fleet as u64)),
+                ("boot_delay_secs", fixed(setup.boot_delay.as_secs_f64(), 1)),
+            ]),
+        ),
+        ("rows", Json::Arr(rows)),
+    ])
+    .emit_pretty()
 }
 
 /// The autoscale experiment: static-32 vs reactive vs predictive on the
@@ -438,6 +441,8 @@ pub fn autoscale() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_keys;
+    use tokenflow_scenario::json;
 
     #[test]
     fn smoke_sweep_meets_the_envelope() {
@@ -478,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn autoscale_json_is_wellformed_enough() {
+    fn autoscale_json_parses_with_every_key_ci_reads() {
         let rows = vec![
             AutoscaleRow {
                 fleet: "static-8".into(),
@@ -503,14 +508,51 @@ mod tests {
                 complete: true,
             },
         ];
-        let json = autoscale_json(&AutoscaleSetup::smoke(), &rows);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"experiment\": \"autoscale\""));
-        assert!(json.contains("\"fleet\": \"reactive\""));
-        assert!(json.contains("\"replica_seconds\""));
-        assert!(json.contains("\"rows\": ["));
-        // Two rows, no trailing comma.
-        assert!(!json.contains("},\n  ]"));
+        let doc = json::parse(&autoscale_json(&AutoscaleSetup::smoke(), &rows)).unwrap();
+        assert_eq!(doc.get("experiment"), Some(&s("autoscale")));
+        assert_keys(
+            &doc,
+            &["router", "scheduler", "workload", "fleet", "rows"],
+            "",
+        );
+        assert_keys(
+            doc.get("workload").unwrap(),
+            &[
+                "duration_secs",
+                "crowd",
+                "crowd_waves",
+                "base_peak_rate",
+                "seed",
+            ],
+            "workload.",
+        );
+        assert_keys(
+            doc.get("fleet").unwrap(),
+            &["static", "bootstrap", "min", "max", "boot_delay_secs"],
+            "fleet.",
+        );
+        let parsed = doc.get("rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[1].get("fleet"), Some(&s("reactive")));
+        assert_eq!(parsed[1].get("replica_seconds"), Some(&n(300.0)));
+        for row in parsed {
+            assert_keys(
+                row,
+                &[
+                    "fleet",
+                    "replica_seconds",
+                    "peak_active",
+                    "mean_active",
+                    "p99_ttft",
+                    "rebuffer_secs",
+                    "qos",
+                    "scale_events",
+                    "complete",
+                ],
+                "rows[].",
+            );
+            assert_eq!(row.get("complete"), Some(&Json::Bool(true)));
+        }
     }
 
     #[test]

@@ -24,10 +24,12 @@ use tokenflow_cluster::{
 use tokenflow_core::EngineConfig;
 use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy};
 use tokenflow_model::{HardwareProfile, ModelProfile};
+use tokenflow_scenario::json::{n, ni, obj, s, Json};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::{diurnal_flash_crowd, RateDist, Workload};
 
+use crate::experiments::fixed;
 use crate::table::{f, Table};
 
 /// One configuration's results on the crash trace.
@@ -264,52 +266,54 @@ pub fn fault_sweep(setup: &FaultSetup, workers: NonZeroUsize) -> Vec<FaultRow> {
     rows
 }
 
-/// Renders the rows as machine-readable JSON (hand-rolled: the vendored
-/// serde stand-in has no serializer; one flat `rows` array, stable
-/// across commits for trend tooling).
+/// Renders the rows as machine-readable JSON through the workspace codec
+/// (`tokenflow_scenario::json`): one flat `rows` array, stable across
+/// commits for trend tooling and CI's `BENCH_fault.json` gate.
 pub fn fault_json(setup: &FaultSetup, rows: &[FaultRow]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"fault\",\n");
-    s.push_str("  \"router\": \"backlog-aware\",\n");
-    s.push_str("  \"scheduler\": \"TokenFlow\",\n");
-    s.push_str(&format!(
-        "  \"workload\": {{\"duration_secs\": {}, \"crowd\": {}, \"crowd_waves\": {}, \
-         \"base_peak_rate\": {:.2}, \"seed\": {}}},\n",
-        setup.duration.as_secs_f64(),
-        setup.crowd,
-        setup.crowd_waves,
-        setup.base_peak_rate,
-        setup.seed,
-    ));
-    s.push_str(&format!(
-        "  \"fault\": {{\"fleet\": {}, \"crash_replica\": {}, \"crash_at_secs\": {:.1}}},\n",
-        setup.fleet,
-        setup.crash_replica,
-        setup.crash_at.saturating_since(SimTime::ZERO).as_secs_f64(),
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"config\": \"{}\", \"p99_ttft\": {:.4}, \"rebuffer_secs\": {:.3}, \
-             \"lost_events\": {}, \"recovered\": {}, \"abandoned\": {}, \
-             \"abandoned_rate\": {:.4}, \"completed\": {}, \"submitted\": {}, \
-             \"replica_seconds\": {:.1}, \"complete\": {}}}{}\n",
-            r.config,
-            r.p99_ttft,
-            r.rebuffer_secs,
-            r.lost_events,
-            r.recovered,
-            r.abandoned,
-            r.abandoned_rate,
-            r.completed,
-            r.submitted,
-            r.replica_seconds,
-            r.complete,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = rows
+        .iter()
+        .map(|r| {
+            obj(vec![
+                ("config", s(&r.config)),
+                ("p99_ttft", fixed(r.p99_ttft, 4)),
+                ("rebuffer_secs", fixed(r.rebuffer_secs, 3)),
+                ("lost_events", ni(r.lost_events)),
+                ("recovered", ni(r.recovered)),
+                ("abandoned", ni(r.abandoned)),
+                ("abandoned_rate", fixed(r.abandoned_rate, 4)),
+                ("completed", ni(r.completed as u64)),
+                ("submitted", ni(r.submitted as u64)),
+                ("replica_seconds", fixed(r.replica_seconds, 1)),
+                ("complete", Json::Bool(r.complete)),
+            ])
+        })
+        .collect();
+    let crash_at = setup.crash_at.saturating_since(SimTime::ZERO).as_secs_f64();
+    obj(vec![
+        ("experiment", s("fault")),
+        ("router", s("backlog-aware")),
+        ("scheduler", s("TokenFlow")),
+        (
+            "workload",
+            obj(vec![
+                ("duration_secs", n(setup.duration.as_secs_f64())),
+                ("crowd", ni(setup.crowd.into())),
+                ("crowd_waves", ni(setup.crowd_waves.into())),
+                ("base_peak_rate", fixed(setup.base_peak_rate, 2)),
+                ("seed", ni(setup.seed)),
+            ]),
+        ),
+        (
+            "fault",
+            obj(vec![
+                ("fleet", ni(setup.fleet as u64)),
+                ("crash_replica", ni(setup.crash_replica as u64)),
+                ("crash_at_secs", fixed(crash_at, 1)),
+            ]),
+        ),
+        ("rows", Json::Arr(rows)),
+    ])
+    .emit_pretty()
 }
 
 /// The fault experiment: healthy vs mid-crowd crash (with and without
@@ -391,6 +395,8 @@ pub fn fault() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_keys;
+    use tokenflow_scenario::json;
 
     #[test]
     fn smoke_sweep_shows_recovery_and_abandonment() {
@@ -430,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_json_is_wellformed_enough() {
+    fn fault_json_parses_with_every_key_ci_reads() {
         let rows = vec![
             FaultRow {
                 config: "healthy".into(),
@@ -459,14 +465,41 @@ mod tests {
                 complete: true,
             },
         ];
-        let json = fault_json(&FaultSetup::smoke(), &rows);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"experiment\": \"fault\""));
-        assert!(json.contains("\"crash_replica\": 0"));
-        assert!(json.contains("\"config\": \"crash\""));
-        assert!(json.contains("\"abandoned_rate\""));
-        assert!(json.contains("\"rows\": ["));
-        // Two rows, no trailing comma.
-        assert!(!json.contains("},\n  ]"));
+        let doc = json::parse(&fault_json(&FaultSetup::smoke(), &rows)).unwrap();
+        assert_eq!(doc.get("experiment"), Some(&s("fault")));
+        assert_keys(
+            &doc,
+            &["router", "scheduler", "workload", "fault", "rows"],
+            "",
+        );
+        let fault = doc.get("fault").unwrap();
+        assert_keys(
+            fault,
+            &["fleet", "crash_replica", "crash_at_secs"],
+            "fault.",
+        );
+        assert_eq!(fault.get("crash_replica"), Some(&ni(0)));
+        let parsed = doc.get("rows").and_then(Json::as_arr).unwrap();
+        let configs: Vec<_> = parsed.iter().map(|r| r.get("config")).collect();
+        assert_eq!(configs, [Some(&s("healthy")), Some(&s("crash"))]);
+        for row in parsed {
+            assert_keys(
+                row,
+                &[
+                    "p99_ttft",
+                    "rebuffer_secs",
+                    "lost_events",
+                    "recovered",
+                    "abandoned",
+                    "abandoned_rate",
+                    "completed",
+                    "submitted",
+                    "replica_seconds",
+                    "complete",
+                ],
+                "rows[].",
+            );
+            assert_eq!(row.get("complete"), Some(&Json::Bool(true)));
+        }
     }
 }

@@ -34,10 +34,12 @@ use tokenflow_cluster::{
 };
 use tokenflow_core::EngineConfig;
 use tokenflow_model::{HardwareProfile, ModelProfile};
+use tokenflow_scenario::json::{ni, obj, s, Json};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::SimDuration;
 use tokenflow_workload::{ArrivalSpec, LengthDist, RateDist, Workload, WorkloadGen};
 
+use crate::experiments::fixed;
 use crate::table::{f, Table};
 
 /// Requests each replica is sized for.
@@ -205,50 +207,43 @@ pub fn fleet_sweep(fleet_sizes: &[usize], lanes: usize) -> Vec<FleetRow> {
         .collect()
 }
 
-/// Renders the rows as machine-readable JSON (hand-rolled: the vendored
-/// serde stand-in has no serializer; the shape is one `rows` array of
-/// flat objects, stable across commits for trend tooling and the CI
-/// `fleet-speedup` gate).
+/// Renders the rows as machine-readable JSON through the workspace codec
+/// (`tokenflow_scenario::json`): one `rows` array of flat objects, stable
+/// across commits for trend tooling and the CI `fleet-speedup` gate.
 pub fn fleet_json(rows: &[FleetRow], lanes: usize, host_parallelism: usize) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"fleet\",\n");
-    s.push_str("  \"router\": \"round-robin\",\n");
-    s.push_str("  \"scheduler\": \"TokenFlow\",\n");
-    s.push_str(&format!("  \"lanes\": {lanes},\n"));
-    s.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
-    s.push_str(&format!(
-        "  \"per_replica_requests\": {PER_REPLICA_REQUESTS},\n"
-    ));
-    s.push_str(&format!("  \"crowd_window_secs\": {CROWD_WINDOW_SECS},\n"));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"replicas\": {}, \"requests\": {}, \"effective_throughput\": {:.3}, \
-             \"p99_ttft\": {:.4}, \"qos\": {:.3}, \"complete\": {}, \
-             \"sequential_secs\": {:.4}, \"scoped_secs\": {:.4}, \"pooled_secs\": {:.4}, \
-             \"speedup_vs_sequential\": {:.3}, \"speedup_vs_scoped\": {:.3}, \
-             \"pool_workers\": {}, \"pool_submissions\": {}, \"epochs\": {}, \
-             \"batched_barriers\": {}}}{}\n",
-            r.replicas,
-            r.requests,
-            r.effective_throughput,
-            r.p99_ttft,
-            r.qos,
-            r.complete,
-            r.sequential_secs,
-            r.scoped_secs,
-            r.pooled_secs,
-            r.speedup_vs_sequential,
-            r.speedup_vs_scoped,
-            r.stats.pool_workers,
-            r.stats.pool_submissions,
-            r.stats.epochs,
-            r.stats.batched_barriers,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = rows
+        .iter()
+        .map(|r| {
+            obj(vec![
+                ("replicas", ni(r.replicas as u64)),
+                ("requests", ni(r.requests as u64)),
+                ("effective_throughput", fixed(r.effective_throughput, 3)),
+                ("p99_ttft", fixed(r.p99_ttft, 4)),
+                ("qos", fixed(r.qos, 3)),
+                ("complete", Json::Bool(r.complete)),
+                ("sequential_secs", fixed(r.sequential_secs, 4)),
+                ("scoped_secs", fixed(r.scoped_secs, 4)),
+                ("pooled_secs", fixed(r.pooled_secs, 4)),
+                ("speedup_vs_sequential", fixed(r.speedup_vs_sequential, 3)),
+                ("speedup_vs_scoped", fixed(r.speedup_vs_scoped, 3)),
+                ("pool_workers", ni(r.stats.pool_workers as u64)),
+                ("pool_submissions", ni(r.stats.pool_submissions)),
+                ("epochs", ni(r.stats.epochs)),
+                ("batched_barriers", ni(r.stats.batched_barriers)),
+            ])
+        })
+        .collect();
+    obj(vec![
+        ("experiment", s("fleet")),
+        ("router", s("round-robin")),
+        ("scheduler", s("TokenFlow")),
+        ("lanes", ni(lanes as u64)),
+        ("host_parallelism", ni(host_parallelism as u64)),
+        ("per_replica_requests", ni(PER_REPLICA_REQUESTS.into())),
+        ("crowd_window_secs", ni(CROWD_WINDOW_SECS)),
+        ("rows", Json::Arr(rows)),
+    ])
+    .emit_pretty()
 }
 
 /// The fleet experiment: 1–32 replicas, weak-scaled barrier-dense flash
@@ -312,6 +307,8 @@ pub fn fleet() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_keys;
+    use tokenflow_scenario::json;
 
     #[test]
     fn fleet_sweep_small_sizes_complete_and_match() {
@@ -332,16 +329,46 @@ mod tests {
     }
 
     #[test]
-    fn fleet_json_is_wellformed_enough() {
+    fn fleet_json_parses_with_every_key_ci_reads() {
         let rows = fleet_sweep(&[1], 1);
-        let json = fleet_json(&rows, 1, 1);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"experiment\": \"fleet\""));
-        assert!(json.contains("\"replicas\": 1"));
-        assert!(json.contains("\"speedup_vs_sequential\""));
-        assert!(json.contains("\"speedup_vs_scoped\""));
-        assert!(json.contains("\"host_parallelism\""));
-        // One row, no trailing comma.
-        assert!(!json.contains("},\n  ]"));
+        let doc = json::parse(&fleet_json(&rows, 1, 1)).unwrap();
+        assert_eq!(doc.get("experiment"), Some(&s("fleet")));
+        assert_keys(
+            &doc,
+            &[
+                "router",
+                "scheduler",
+                "lanes",
+                "host_parallelism",
+                "per_replica_requests",
+                "crowd_window_secs",
+                "rows",
+            ],
+            "",
+        );
+        let rows = doc.get("rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get("replicas"), Some(&ni(1)));
+        assert_eq!(rows[0].get("complete"), Some(&Json::Bool(true)));
+        assert_keys(
+            &rows[0],
+            &[
+                "requests",
+                "effective_throughput",
+                "p99_ttft",
+                "qos",
+                "complete",
+                "sequential_secs",
+                "scoped_secs",
+                "pooled_secs",
+                "speedup_vs_sequential",
+                "speedup_vs_scoped",
+                "pool_workers",
+                "pool_submissions",
+                "epochs",
+                "batched_barriers",
+            ],
+            "rows[].",
+        );
     }
 }

@@ -32,10 +32,12 @@ use std::time::Instant;
 
 use tokenflow_core::{Engine, EngineConfig, FastPathStats, StepOutcome};
 use tokenflow_model::{HardwareProfile, ModelProfile};
+use tokenflow_scenario::json::{ni, obj, s, Json};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::{diurnal_flash_crowd, RateDist, Workload};
 
+use crate::experiments::fixed;
 use crate::table::{f, Table};
 
 /// Steps per measurement window.
@@ -240,64 +242,67 @@ pub fn measure(case: &HotpathCase) -> HotpathRow {
     }
 }
 
-fn window_json(w: &HotpathWindow) -> String {
-    format!(
-        "{{\"steps\": {}, \"steps_per_sec\": {:.1}, \"us_per_step\": {:.2}, \
-         \"sim_tokens_per_wall_sec\": {:.0}, \"live\": {}, \"finished\": {}, \
-         \"sim_secs\": {:.2}, \"fast_steps\": {}, \"fast_step_ratio\": {:.3}, \
-         \"horizons_issued\": {}, \"horizons_invalidated\": {}, \
-         \"horizons_expired\": {}}}",
-        w.steps,
-        w.steps_per_sec(),
-        w.us_per_step(),
-        w.tokens_per_wall_sec(),
-        w.live,
-        w.finished,
-        w.sim_time.saturating_since(SimTime::ZERO).as_secs_f64(),
-        w.fast_steps,
-        w.fast_step_ratio(),
-        w.horizons_issued,
-        w.horizons_invalidated,
-        w.horizons_expired,
-    )
+fn window_json(w: &HotpathWindow) -> Json {
+    obj(vec![
+        ("steps", ni(w.steps)),
+        ("steps_per_sec", fixed(w.steps_per_sec(), 1)),
+        ("us_per_step", fixed(w.us_per_step(), 2)),
+        ("sim_tokens_per_wall_sec", fixed(w.tokens_per_wall_sec(), 0)),
+        ("live", ni(w.live as u64)),
+        ("finished", ni(w.finished as u64)),
+        (
+            "sim_secs",
+            fixed(w.sim_time.saturating_since(SimTime::ZERO).as_secs_f64(), 2),
+        ),
+        ("fast_steps", ni(w.fast_steps)),
+        ("fast_step_ratio", fixed(w.fast_step_ratio(), 3)),
+        ("horizons_issued", ni(w.horizons_issued)),
+        ("horizons_invalidated", ni(w.horizons_invalidated)),
+        ("horizons_expired", ni(w.horizons_expired)),
+    ])
 }
 
-/// Renders the rows as machine-readable JSON (hand-rolled: the vendored
-/// serde stand-in has no serializer). The committed `BENCH_hotpath.json`
-/// extends this shape with a `before` block and a `comparison` block
-/// recording the pre-refactor numbers.
+/// Renders the rows as machine-readable JSON through the workspace codec
+/// (`tokenflow_scenario::json`), with every key CI's hotpath gates read.
+/// The committed `BENCH_hotpath.json` extends this shape with a `before`
+/// block and a `comparison` block recording the pre-refactor numbers.
 pub fn hotpath_json(rows: &[HotpathRow]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"hotpath\",\n");
-    s.push_str("  \"scheduler\": \"TokenFlow\",\n");
-    s.push_str("  \"model\": \"llama3-8b\",\n");
-    s.push_str("  \"hardware\": \"h200\",\n");
-    s.push_str(&format!("  \"window_steps\": {WINDOW_STEPS},\n"));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"label\": \"{}\", \"requests\": {}, \"steps\": {}, \
-             \"wall_secs\": {:.3}, \"overall_steps_per_sec\": {:.1}, \"done\": {},\n     \
-             \"fast_path\": {{\"fast_steps\": {}, \"horizons_issued\": {}, \
-             \"horizons_invalidated\": {}, \"horizons_expired\": {}}},\n     \
-             \"early\": {},\n     \"late\": {}}}{}\n",
-            r.label,
-            r.requests,
-            r.steps,
-            r.wall_secs,
-            r.steps as f64 / r.wall_secs.max(1e-9),
-            r.done,
-            r.fast_path.fast_steps,
-            r.fast_path.horizons_issued,
-            r.fast_path.horizons_invalidated,
-            r.fast_path.horizons_expired,
-            window_json(&r.early),
-            window_json(&r.late),
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = rows
+        .iter()
+        .map(|r| {
+            obj(vec![
+                ("label", s(r.label)),
+                ("requests", ni(r.requests as u64)),
+                ("steps", ni(r.steps)),
+                ("wall_secs", fixed(r.wall_secs, 3)),
+                (
+                    "overall_steps_per_sec",
+                    fixed(r.steps as f64 / r.wall_secs.max(1e-9), 1),
+                ),
+                ("done", Json::Bool(r.done)),
+                (
+                    "fast_path",
+                    obj(vec![
+                        ("fast_steps", ni(r.fast_path.fast_steps)),
+                        ("horizons_issued", ni(r.fast_path.horizons_issued)),
+                        ("horizons_invalidated", ni(r.fast_path.horizons_invalidated)),
+                        ("horizons_expired", ni(r.fast_path.horizons_expired)),
+                    ]),
+                ),
+                ("early", window_json(&r.early)),
+                ("late", window_json(&r.late)),
+            ])
+        })
+        .collect();
+    obj(vec![
+        ("experiment", s("hotpath")),
+        ("scheduler", s("TokenFlow")),
+        ("model", s("llama3-8b")),
+        ("hardware", s("h200")),
+        ("window_steps", ni(WINDOW_STEPS)),
+        ("rows", Json::Arr(rows)),
+    ])
+    .emit_pretty()
 }
 
 /// The cases selected by `HOTPATH_SIZES` (all when unset or empty).
@@ -387,6 +392,8 @@ pub fn hotpath() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_keys;
+    use tokenflow_scenario::json;
 
     /// A tiny case so the contract tests stay fast.
     const TINY: HotpathCase = HotpathCase {
@@ -413,17 +420,47 @@ mod tests {
     }
 
     #[test]
-    fn json_is_wellformed_enough() {
+    fn json_parses_with_every_key_ci_reads() {
         let row = measure(&TINY);
-        let json = hotpath_json(&[row]);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"experiment\": \"hotpath\""));
-        assert!(json.contains("\"label\": \"tiny\""));
-        assert!(json.contains("\"early\": {"));
-        assert!(json.contains("\"late\": {"));
-        assert!(json.contains("\"fast_path\": {"));
-        assert!(json.contains("\"horizons_issued\""));
-        // One row, no trailing comma before the array close.
-        assert!(!json.contains("},\n  ]"));
+        let doc = json::parse(&hotpath_json(&[row])).unwrap();
+        assert_eq!(doc.get("experiment"), Some(&s("hotpath")));
+        assert_keys(
+            &doc,
+            &["scheduler", "model", "hardware", "window_steps", "rows"],
+            "",
+        );
+        let rows = doc.get("rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows.len(), 1);
+        let row = &rows[0];
+        assert_eq!(row.get("label"), Some(&s("tiny")));
+        assert_keys(
+            row,
+            &["label", "requests", "steps", "wall_secs", "early", "late"],
+            "rows[].",
+        );
+        let counters = [
+            "fast_steps",
+            "horizons_issued",
+            "horizons_invalidated",
+            "horizons_expired",
+        ];
+        assert_keys(row.get("fast_path").unwrap(), &counters, "fast_path.");
+        for window in ["early", "late"] {
+            let w = row.get(window).unwrap();
+            assert_keys(
+                w,
+                &[
+                    "steps",
+                    "steps_per_sec",
+                    "us_per_step",
+                    "sim_tokens_per_wall_sec",
+                    "live",
+                    "finished",
+                ],
+                "window.",
+            );
+            assert_keys(w, &counters, "window.");
+        }
+        assert_keys(row.get("late").unwrap(), &["fast_step_ratio"], "late.");
     }
 }

@@ -7,6 +7,8 @@
 //! numbers (the substrate is an analytical simulator, not the authors'
 //! testbed).
 
+use tokenflow_scenario::json::{self, Json};
+
 pub mod autoscale;
 pub mod cluster;
 pub mod e2e;
@@ -157,4 +159,19 @@ pub fn all() -> Vec<Experiment> {
 /// Runs one experiment by id, if it exists.
 pub fn run_by_id(id: &str) -> Option<String> {
     all().into_iter().find(|e| e.id == id).map(|e| (e.run)())
+}
+
+/// A JSON number rounded to `decimals` places, so bench artifacts carry
+/// the precision their tables print rather than every digit of the f64.
+pub(crate) fn fixed(v: f64, decimals: usize) -> Json {
+    json::n(format!("{v:.decimals$}").parse().unwrap_or(v))
+}
+
+/// Asserts that `doc` carries every key in `keys`; `at` names the
+/// object in the failure message (`"rows[]."`).
+#[cfg(test)]
+pub(crate) fn assert_keys(doc: &Json, keys: &[&str], at: &str) {
+    for key in keys {
+        assert!(doc.get(key).is_some(), "missing {at}{key}");
+    }
 }

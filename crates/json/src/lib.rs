@@ -1,12 +1,17 @@
-//! A minimal JSON value model, parser, and canonical emitter.
+//! The workspace's one JSON codec: a minimal value model, parser, and
+//! canonical emitter, with no dependencies.
 //!
-//! The workspace's `serde` is an offline no-op stand-in (see `DESIGN.md`,
-//! "Dependency policy"), so the scenario layer carries its own JSON
-//! machinery: a strict recursive-descent parser with line/column errors
-//! and an emitter whose output is *canonical* — object keys keep their
-//! authored order, floats render in Rust's shortest-round-trip form —
-//! so `parse(emit(v)) == v` and `emit(parse(s)) == s` for emitted `s`.
-//! The spec round-trip property tests lean on exactly that.
+//! Everything the repository proves itself with goes through here:
+//! scenario specs, run reports, decision traces, bench artifacts, and the
+//! audit baseline. The parser is strict recursive descent with
+//! line/column errors (duplicate keys and non-finite numbers are
+//! rejected); the emitter's output is *canonical* — object keys keep
+//! their authored order, floats render in Rust's shortest-round-trip
+//! form — so `parse(emit(v)) == v` and `emit(parse(s)) == s` for emitted
+//! `s`. The spec round-trip property tests lean on exactly that.
+
+// audit: tier(deterministic)
+#![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
 
@@ -55,12 +60,14 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is a whole number.
+    /// The value as a non-negative integer, if it is a whole number
+    /// below 2⁵³. Every integer in that range has an exact `f64`; above
+    /// it a literal such as `9007199254740993` has already been rounded
+    /// by the parser, so it is refused rather than read as its neighbour.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_LIMIT => Some(*n as u64),
             _ => None,
         }
     }
@@ -371,7 +378,7 @@ impl Parser<'_> {
                             let code = match unit {
                                 // RFC 8259: non-BMP characters arrive as a
                                 // UTF-16 surrogate pair of \u escapes (what
-                                // serde_json and JSON.stringify emit).
+                                // JSON.stringify and other encoders emit).
                                 0xD800..=0xDBFF => {
                                     if self.peek() != Some(b'\\') {
                                         return Err(self.err("lone high surrogate"));
@@ -562,6 +569,24 @@ mod tests {
     }
 
     #[test]
+    fn as_u64_refuses_integers_an_f64_cannot_hold_exactly() {
+        assert_eq!(
+            parse("9007199254740991").unwrap().as_u64(),
+            Some((1 << 53) - 1)
+        );
+        // 2^53 + 1 parses to 2^53; both are refused, as is 2^64.
+        for big in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            assert_eq!(parse(big).unwrap().as_u64(), None, "{big}");
+        }
+        assert_eq!(n(-1.0).as_u64(), None);
+        assert_eq!(n(1.5).as_u64(), None);
+    }
+
+    #[test]
     fn overflowing_numbers_are_rejected_not_infinity() {
         for bad in ["1e999", "-1e999", "1e308000"] {
             let err = parse(bad).unwrap_err();
@@ -582,7 +607,7 @@ mod tests {
 
     #[test]
     fn surrogate_pairs_decode_to_non_bmp_chars() {
-        // RFC 8259 escaped emoji — what serde_json / JSON.stringify emit.
+        // RFC 8259 escaped emoji — what JSON.stringify emits.
         assert_eq!(
             parse(r#""\ud83d\ude00""#).unwrap(),
             Json::Str("😀".to_string())

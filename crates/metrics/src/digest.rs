@@ -8,10 +8,12 @@
 //! Any refactor that alters scheduling, accounting, or aggregation —
 //! however slightly — moves the digest.
 //!
-//! The vendored `serde` stand-in has no serializer, so the canonical form
-//! is hand-rolled here and is itself part of the pinned contract: do not
-//! reorder fields or change float formatting without updating every
-//! golden digest.
+//! The canonical form is hand-rolled here rather than built with the
+//! workspace JSON codec (`tokenflow-json`) because it renders floats in
+//! Rust's `{:?}` form — `1.0`, `-0.0`, a distinct `NaN` — where the codec
+//! writes `1`, `0` and `null`. It is itself part of the pinned contract:
+//! do not reorder fields or change float formatting without updating
+//! every golden digest.
 
 use crate::report::{FaultStats, RunReport, RuntimeCounters, Summary};
 

@@ -1682,6 +1682,26 @@ mod tests {
     }
 
     #[test]
+    fn seeds_an_f64_cannot_hold_exactly_are_rejected() {
+        let spec = |seed: &str| {
+            parse_scenario(&format!(
+                r#"{{"workload": {{"type": "diurnal-flash-crowd", "seed": {seed}}}}}"#
+            ))
+        };
+        assert!(spec("9007199254740991").is_ok());
+        // 2^53 + 1 would otherwise run as seed 2^53; 2^64 as u64::MAX.
+        for seed in ["9007199254740993", "18446744073709551616"] {
+            let err = spec(seed).unwrap_err();
+            assert!(
+                matches!(err, SpecError::Invalid { ref field, ref msg }
+                    if field == "scenario.workload.seed"
+                    && msg.contains("non-negative integer")),
+                "{seed}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn model_and_hardware_names_are_case_insensitive() {
         let spec = parse_scenario(r#"{"model": "llama3-8b", "hardware": "h200"}"#).unwrap();
         assert_eq!(spec.model, "Llama3-8B");

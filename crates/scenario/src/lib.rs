@@ -2,7 +2,7 @@
 //!
 //! Every axis the workspace exposes — scheduler, router, scale policy,
 //! execution strategy, workload, model, hardware, engine knobs, topology
-//! — has a serde-style spec type here, composed into one
+//! — has a typed spec struct here, composed into one
 //! [`ScenarioSpec`] with a single entry point:
 //!
 //! ```
@@ -41,19 +41,20 @@
 //! * [`sweep`] — cartesian grids over spec fields ([`SweepSpec`]):
 //!   `{scheduler: [...], workload: [...]}` is the paper's evaluation
 //!   grid as data.
-//! * [`json`] — the self-contained JSON model (the vendored `serde` is a
-//!   no-op stand-in, so the scenario layer carries its own parser and
-//!   canonical emitter).
+//! * [`json`] — the workspace's JSON codec, re-exported from the
+//!   dependency-free `tokenflow-json` crate so `tokenflow_scenario::json`
+//!   stays the one path callers use.
 
 // audit: tier(deterministic)
 #![forbid(unsafe_code)]
 
 pub mod build;
 pub mod codec;
-pub mod json;
 pub mod spec;
 pub mod sweep;
 pub mod tracefmt;
+
+pub use tokenflow_json as json;
 
 pub use build::{Harness, RunOutcome};
 pub use codec::{

@@ -30,7 +30,7 @@
 //!   `Provisioning → Active → Draining → Retired` replica lifecycle at
 //!   arrival barriers, with replica-seconds cost accounting.
 //! * [`scenario`] — the declarative layer and **canonical construction
-//!   path**: every axis above as a serde-style spec type, composed into
+//!   path**: every axis above as a typed spec struct, composed into
 //!   one `ScenarioSpec` that builds a single engine, a fixed cluster, or
 //!   an autoscaled fleet from a JSON file, plus cartesian sweeps over
 //!   spec fields. The `tokenflow` CLI (`tokenflow run`, `tokenflow
