@@ -1,21 +1,17 @@
 //! Fleet experiment: replica scaling to 32 replicas under a
-//! barrier-dense flash crowd, comparing all three epoch executors.
+//! barrier-dense flash crowd, the pooled epoch executor against the
+//! sequential one.
 //!
 //! Not a paper figure — this is the repo's fleet-scale extension. The
 //! arrival-barrier epoch design makes every replica independent between
-//! router dispatch points; *how* that independence is exploited is the
-//! executor's job, and this experiment measures the three strategies
-//! head to head on the regime the paper cares about (TokenFlow §6:
-//! flash crowds, where arrivals — and therefore barriers — are densest
-//! and per-epoch overhead hurts most):
+//! router dispatch points; *where* each replica's epoch runs is the
+//! executor's job, and this experiment measures both strategies head to
+//! head on the regime the paper cares about (TokenFlow §6: flash crowds,
+//! where arrivals — and therefore barriers — are densest and per-epoch
+//! overhead hurts most):
 //!
 //! * `sequential` — the reference loop on the coordinator thread.
-//! * `scoped` — the legacy per-epoch `std::thread::scope` executor:
-//!   with thousands of barriers it pays thousands of spawn/join cycles,
-//!   which is exactly why it never beat sequential.
-//! * `pooled` — the persistent condvar-parked worker pool plus
-//!   quiescent-target barrier batching (round-robin routing is
-//!   load-oblivious, so sparse stretches coalesce).
+//! * `pooled` — the persistent condvar-parked worker pool.
 //!
 //! The sweep is *weak scaling* (a fixed per-replica share of the crowd,
 //! so the fleet serves a crowd that grows with it — the TokenScale
@@ -66,15 +62,10 @@ pub struct FleetRow {
     pub complete: bool,
     /// Wall-clock of the sequential reference executor, seconds.
     pub sequential_secs: f64,
-    /// Wall-clock of the legacy scoped-per-epoch executor, seconds.
-    pub scoped_secs: f64,
     /// Wall-clock of the persistent-pool executor, seconds.
     pub pooled_secs: f64,
     /// `sequential_secs / pooled_secs`.
     pub speedup_vs_sequential: f64,
-    /// `scoped_secs / pooled_secs` — what replacing per-epoch spawns
-    /// with a persistent pool is worth at the same lane count.
-    pub speedup_vs_scoped: f64,
     /// Executor counters from the pooled run.
     pub stats: ExecutorStats,
 }
@@ -107,10 +98,11 @@ fn crowd(replicas: usize) -> Workload {
     .generate(42)
 }
 
-/// Lane count for both parallel executors: every available core, but at
-/// least 4 so single-core hosts still measure what a user asking for
-/// `parallel(4)` gets (the pool degrades to ~sequential there; the
-/// scoped executor pays 4 spawns per epoch regardless).
+/// Lane count asked of the pool: every available core, but at least 4
+/// so single-core hosts still measure what a user asking for
+/// `parallel(4)` gets. The pool never runs more lanes than the host has
+/// cores, so there it is the coordinator alone — sequential plus the
+/// batch bookkeeping.
 fn lanes() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -149,8 +141,8 @@ fn run_fleet(
     (outcome, secs[secs.len() / 2], stats)
 }
 
-/// Runs the sweep over `fleet_sizes`, timing all three executors per
-/// size and asserting their outcomes byte-identical before reporting.
+/// Runs the sweep over `fleet_sizes`, timing both executors per size and
+/// asserting their outcomes byte-identical before reporting.
 ///
 /// # Panics
 ///
@@ -164,31 +156,19 @@ pub fn fleet_sweep(fleet_sizes: &[usize], lanes: usize) -> Vec<FleetRow> {
             let workload = crowd(replicas);
             let (seq, sequential_secs, _) =
                 run_fleet(&config, replicas, &workload, Execution::Sequential);
-            let (scoped, scoped_secs, _) = run_fleet(
-                &config,
-                replicas,
-                &workload,
-                Execution::scoped_per_epoch(lanes),
-            );
             let (pooled, pooled_secs, stats) =
                 run_fleet(&config, replicas, &workload, Execution::parallel(lanes));
-            // Executor-mechanics counters (pool size, submissions) are
-            // the one intentionally executor-visible report surface;
-            // compare the invariant projection.
-            let mut seq_merged = seq.merged.clone();
-            seq_merged.runtime = seq_merged.runtime.invariant();
-            for (other, label) in [(&scoped, "scoped"), (&pooled, "pooled")] {
-                let mut other_merged = other.merged.clone();
-                other_merged.runtime = other_merged.runtime.invariant();
-                assert_eq!(
-                    seq_merged, other_merged,
-                    "{label} executor divergence at {replicas} replicas"
-                );
-                assert_eq!(
-                    seq.assignments, other.assignments,
-                    "{label} assignment divergence at {replicas} replicas"
-                );
-            }
+            // The canonical report leaves out only the pool's own
+            // counters.
+            assert_eq!(
+                seq.merged.digest(),
+                pooled.merged.digest(),
+                "pooled executor divergence at {replicas} replicas"
+            );
+            assert_eq!(
+                seq.assignments, pooled.assignments,
+                "pooled assignment divergence at {replicas} replicas"
+            );
             FleetRow {
                 replicas,
                 requests: workload.len(),
@@ -197,10 +177,8 @@ pub fn fleet_sweep(fleet_sizes: &[usize], lanes: usize) -> Vec<FleetRow> {
                 qos: seq.merged.qos,
                 complete: seq.complete,
                 sequential_secs,
-                scoped_secs,
                 pooled_secs,
                 speedup_vs_sequential: sequential_secs / pooled_secs.max(1e-9),
-                speedup_vs_scoped: scoped_secs / pooled_secs.max(1e-9),
                 stats,
             }
         })
@@ -222,14 +200,11 @@ pub fn fleet_json(rows: &[FleetRow], lanes: usize, host_parallelism: usize) -> S
                 ("qos", fixed(r.qos, 3)),
                 ("complete", Json::Bool(r.complete)),
                 ("sequential_secs", fixed(r.sequential_secs, 4)),
-                ("scoped_secs", fixed(r.scoped_secs, 4)),
                 ("pooled_secs", fixed(r.pooled_secs, 4)),
                 ("speedup_vs_sequential", fixed(r.speedup_vs_sequential, 3)),
-                ("speedup_vs_scoped", fixed(r.speedup_vs_scoped, 3)),
                 ("pool_workers", ni(r.stats.pool_workers as u64)),
                 ("pool_submissions", ni(r.stats.pool_submissions)),
                 ("epochs", ni(r.stats.epochs)),
-                ("batched_barriers", ni(r.stats.batched_barriers)),
             ])
         })
         .collect();
@@ -247,7 +222,7 @@ pub fn fleet_json(rows: &[FleetRow], lanes: usize, host_parallelism: usize) -> S
 }
 
 /// The fleet experiment: 1–32 replicas, weak-scaled barrier-dense flash
-/// crowd, all three executors, JSON trajectory in `BENCH_fleet.json`.
+/// crowd, pooled vs sequential, JSON trajectory in `BENCH_fleet.json`.
 pub fn fleet() -> String {
     let host = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -264,12 +239,10 @@ pub fn fleet() -> String {
     let mut s = format!(
         "Weak-scaling flash crowd: {PER_REPLICA_REQUESTS} short requests per replica arriving\n\
          as a Poisson storm over {CROWD_WINDOW_SECS}s (every arrival its own barrier),\n\
-         round-robin routing, TokenFlow scheduling. All three executors are\n\
-         asserted byte-identical per size. `×scoped` is the persistent pool\n\
-         against the legacy per-epoch scoped-thread executor at the same lane\n\
-         count ({lanes} lanes) — the cost of respawning workers every epoch;\n\
-         `×seq` is the pool against the sequential reference and tracks the\n\
-         host's real parallelism ({host} core(s) here).\n\n"
+         round-robin routing, TokenFlow scheduling. Both executors are\n\
+         asserted byte-identical per size. `×seq` is the persistent pool\n\
+         ({lanes} lanes asked) against the sequential reference and tracks\n\
+         the host's real parallelism ({host} core(s) here).\n\n"
     );
     let mut table = Table::new(vec![
         "replicas",
@@ -277,11 +250,8 @@ pub fn fleet() -> String {
         "eff thpt (tok/s)",
         "complete",
         "seq (s)",
-        "scoped (s)",
         "pooled (s)",
         "×seq",
-        "×scoped",
-        "batched",
     ]);
     for r in &rows {
         table.row(vec![
@@ -290,11 +260,8 @@ pub fn fleet() -> String {
             f(r.effective_throughput, 1),
             r.complete.to_string(),
             f(r.sequential_secs, 3),
-            f(r.scoped_secs, 3),
             f(r.pooled_secs, 3),
             f(r.speedup_vs_sequential, 2),
-            f(r.speedup_vs_scoped, 2),
-            r.stats.batched_barriers.to_string(),
         ]);
     }
     s.push_str(&table.render());
@@ -319,8 +286,13 @@ mod tests {
         for r in &rows {
             assert!(r.complete, "{} replicas incomplete", r.replicas);
             assert!(r.effective_throughput > 0.0);
-            assert!(r.sequential_secs > 0.0 && r.scoped_secs > 0.0 && r.pooled_secs > 0.0);
-            assert_eq!(r.stats.pool_workers, 1, "parallel(2) spawns one worker");
+            assert!(r.sequential_secs > 0.0 && r.pooled_secs > 0.0);
+            let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            assert_eq!(
+                r.stats.pool_workers,
+                2.min(host) - 1,
+                "parallel(2) spawns min(2, host) - 1 workers"
+            );
             assert!(r.stats.pool_submissions > 0, "the pool must be exercised");
         }
         // Weak scaling: the doubled fleet serves the doubled crowd with
@@ -359,14 +331,11 @@ mod tests {
                 "qos",
                 "complete",
                 "sequential_secs",
-                "scoped_secs",
                 "pooled_secs",
                 "speedup_vs_sequential",
-                "speedup_vs_scoped",
                 "pool_workers",
                 "pool_submissions",
                 "epochs",
-                "batched_barriers",
             ],
             "rows[].",
         );

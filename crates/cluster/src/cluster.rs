@@ -112,8 +112,8 @@ struct FaultRuntime {
 /// the next arrival, or the final drain — replicas never observe each
 /// other, so each advances independently through
 /// [`Engine::step_until`]. [`ClusterEngine::with_execution`] chooses
-/// whether that independent work runs sequentially or on scoped worker
-/// threads; the choice cannot affect any outcome byte
+/// whether that independent work runs sequentially or on a persistent
+/// worker pool; the choice cannot affect any outcome byte
 /// (see [`Execution`]).
 ///
 /// # Examples
@@ -165,13 +165,6 @@ pub struct ClusterEngine {
     /// created on the first parallel epoch and reused for the rest of
     /// the run.
     pool: Option<WorkerPool>,
-    /// Routing decisions consumed ahead of their dispatch barrier by a
-    /// batching span that had to stop (see
-    /// [`extend_span`](ClusterEngine::extend_span)); `dispatch_due`
-    /// drains these before consulting the router again.
-    held_routes: VecDeque<usize>,
-    /// Arrival barriers coalesced into running epochs.
-    batched_barriers: u64,
     /// Epochs run so far.
     epochs: u64,
     /// Coordinator-side decision journal: one [`TraceEventKind::Dispatch`]
@@ -230,8 +223,6 @@ impl ClusterEngine {
             assignments: Vec::new(),
             next_tick: None,
             pool: None,
-            held_routes: VecDeque::new(),
-            batched_barriers: 0,
             epochs: 0,
             trace: if config.trace {
                 TraceSink::enabled(TraceSource::Coordinator)
@@ -478,32 +469,19 @@ impl ClusterEngine {
                 !active.is_empty(),
                 "no active replica to dispatch to (fleet floor must be >= 1)"
             );
-            let pick = match self.held_routes.pop_front() {
-                // Routed ahead of its barrier by a batching span that
-                // had to stop before this group (see `extend_span`);
-                // the router's state already reflects the decision.
-                // Spans only run under load-oblivious routers, whose
-                // traced score vector is empty by contract.
-                Some(pick) => {
-                    self.score_buf.clear();
-                    pick
-                }
-                None => {
-                    if cached.is_none() || !oblivious {
-                        cached = Some(
-                            active
-                                .iter()
-                                .map(|&i| self.replicas[i].load_snapshot())
-                                .collect(),
-                        );
-                    }
-                    let loads = cached.as_ref().expect("just filled");
-                    if self.trace.is_enabled() {
-                        self.router.route_scored(&spec, loads, &mut self.score_buf)
-                    } else {
-                        self.router.route(&spec, loads)
-                    }
-                }
+            if cached.is_none() || !oblivious {
+                cached = Some(
+                    active
+                        .iter()
+                        .map(|&i| self.replicas[i].load_snapshot())
+                        .collect(),
+                );
+            }
+            let loads = cached.as_ref().expect("just filled");
+            let pick = if self.trace.is_enabled() {
+                self.router.route_scored(&spec, loads, &mut self.score_buf)
+            } else {
+                self.router.route(&spec, loads)
             };
             assert!(pick < active.len(), "router index out of range");
             let replica = active[pick];
@@ -539,119 +517,6 @@ impl ClusterEngine {
             }
             self.assignments.push(Assignment { replica, local_id });
             self.done[replica] = false;
-        }
-    }
-
-    /// Whether the running epoch may coalesce upcoming arrival barriers.
-    ///
-    /// Spans require a static fleet (no control plane observing barrier
-    /// instants), a load-oblivious router (decisions provably unchanged
-    /// by early routing), and pooled parallel execution — `Sequential`
-    /// stays the untouched reference semantics the equivalence suites
-    /// differentially test batching against.
-    fn spans_barriers(&self) -> bool {
-        // Fault runs never span: a coalesced barrier could jump past a
-        // scheduled fault or retry instant, and shed-mode admission reads
-        // live load snapshots the span would make stale.
-        self.plane.is_none()
-            && self.fault.is_none()
-            && matches!(self.execution, Execution::Parallel(_))
-            && self.router.load_oblivious()
-    }
-
-    /// Extends the running epoch across consecutive future arrival
-    /// barriers, submitting each barrier's whole group early, for as
-    /// long as every request in the group lands on a replica that is
-    /// **quiescent** (all submitted work finished, no queued KV
-    /// transfers) and stays untouched for the rest of the span. Each
-    /// coalesced barrier saves one full advance/wake cycle — the
-    /// dominant coordination cost on sparse traffic over wide fleets.
-    ///
-    /// # Why this exact rule is byte-invariant
-    ///
-    /// An engine's step trajectory is a pure function of its state and
-    /// its arrival queue; `step_until` deadlines only decide where the
-    /// coordinator pauses, never which steps run. Early submission is
-    /// therefore observable **only** through the arrival queue — and an
-    /// engine consults not-yet-due arrivals in exactly one place: the
-    /// idle fast-forward wake (`min` over next arrival, next transfer
-    /// completion, `now + idle_tick`). A *live* replica that goes idle
-    /// would wake earlier with an early-queued arrival than without, so
-    /// batching onto busy replicas is unsound. A quiescent replica takes
-    /// no steps at all until its early-submitted group exists in both
-    /// executions, its first wake is the group's own arrival instant
-    /// either way, and receiving at most one group per span means no
-    /// later early arrival can perturb its post-ingest idle wakes. The
-    /// equivalence and golden suites hold `Parallel` (spans on) to
-    /// byte-identity with `Sequential` (spans off) as a differential
-    /// check of this argument.
-    fn extend_span(&mut self, deadline: SimTime) {
-        debug_assert!(self.plane.is_none(), "spans never run on elastic fleets");
-        debug_assert!(self.held_routes.is_empty(), "held group not yet dispatched");
-        // One stale snapshot set for the whole span: the router never
-        // reads contents, and no replica steps while the coordinator is
-        // in this loop, so quiescence/transfer facts cannot go stale.
-        let loads: Vec<EngineLoad> = self.replicas.iter().map(|e| e.load_snapshot()).collect();
-        loop {
-            let Some(front) = self.pending.front() else {
-                return;
-            };
-            let t = front.arrival;
-            if t >= deadline {
-                // Post-deadline groups keep their own (unreachable)
-                // barriers so incomplete runs report identically.
-                return;
-            }
-            let group_len = self.pending.iter().take_while(|s| s.arrival == t).count();
-            let mut picks = Vec::with_capacity(group_len);
-            let mut eligible = true;
-            for i in 0..group_len {
-                let spec = self.pending[i];
-                let pick = self.router.route(&spec, &loads);
-                assert!(pick < loads.len(), "router index out of range");
-                // Same-instant requests may share a target (that is one
-                // barrier either way); a target busy from earlier work
-                // or an earlier span group ends the span.
-                eligible &= self.done[pick]
-                    && loads[pick].d2h_queue_len == 0
-                    && loads[pick].h2d_queue_len == 0;
-                picks.push(pick);
-            }
-            if !eligible {
-                // The router's state already advanced past this group;
-                // park the decisions for the dispatch that happens at
-                // the real barrier.
-                self.held_routes = picks.into();
-                return;
-            }
-            for pick in picks {
-                let spec = self.pending.pop_front().expect("group counted");
-                let global = self.next_global;
-                self.next_global += 1;
-                if self.trace.is_enabled() {
-                    // Identical to the event `dispatch_due` would emit at
-                    // the real barrier: same arrival stamp, same empty
-                    // score vector (spans require oblivious routers), in
-                    // the same submission order — so journals are
-                    // byte-identical with span batching on or off.
-                    self.trace.emit(
-                        spec.arrival,
-                        TraceEventKind::Dispatch {
-                            id: RequestId(global),
-                            replica: pick as u32,
-                            scores: Vec::new(),
-                        },
-                    );
-                }
-                let local_id = self.replicas[pick].submit(spec);
-                self.locals[pick].push(RequestId(global));
-                self.assignments.push(Assignment {
-                    replica: pick,
-                    local_id,
-                });
-                self.done[pick] = false;
-            }
-            self.batched_barriers += 1;
         }
     }
 
@@ -909,9 +774,6 @@ impl ClusterEngine {
                 // records — exactly what a single engine reports for work
                 // the cut-off strands.
                 self.dispatch_due(t);
-                if self.spans_barriers() {
-                    self.extend_span(deadline);
-                }
             }
         }
         let mut until = self
@@ -959,15 +821,14 @@ impl ClusterEngine {
                 .any(|(e, &d)| !d && e.now() < deadline)
     }
 
-    /// Exact executor counters for this run so far: epochs, coalesced
-    /// barriers, and — once a parallel epoch ran — the persistent pool's
-    /// spawn and submission counts. The constant `pool_workers` against
+    /// Exact executor counters for this run so far: epochs and — once a
+    /// parallel epoch ran — the persistent pool's spawn and submission
+    /// counts. The constant `pool_workers` against
     /// a growing `pool_submissions` is the observable proof that epochs
     /// reuse one pool instead of respawning threads.
     pub fn executor_stats(&self) -> ExecutorStats {
         ExecutorStats {
             epochs: self.epochs,
-            batched_barriers: self.batched_barriers,
             pool_workers: self.pool.as_ref().map_or(0, WorkerPool::spawned_workers),
             pool_submissions: self.pool.as_ref().map_or(0, WorkerPool::submissions),
         }
@@ -1066,7 +927,6 @@ impl ClusterEngine {
         // replicas cannot see.
         merged.runtime = RuntimeCounters::merged(replicas.iter().map(|o| &o.report.runtime));
         merged.runtime.epochs = exec_stats.epochs;
-        merged.runtime.batched_barriers = exec_stats.batched_barriers;
         merged.runtime.pool_workers = exec_stats.pool_workers as u64;
         merged.runtime.pool_submissions = exec_stats.pool_submissions;
         // Merge the decision journals onto one timeline, rewriting each
@@ -1197,14 +1057,6 @@ pub fn run_cluster_with(
     cluster.into_outcome()
 }
 
-/// Runs a whole workload through a fresh **elastic** cluster:
-/// `bootstrap` replicas are live at time zero and `policy` resizes the
-/// fleet at every arrival barrier within `control`'s bounds. When
-/// `control` enables a
-/// [`control_tick`](tokenflow_control::ControlConfig::control_tick),
-/// synthetic barriers at that interval keep the plane observing (and
-/// retiring drained replicas) through arrival gaps. The execution
-/// strategy never changes results — scale decisions included.
 /// [`run_cluster_with`] under a deterministic [`FaultPlan`]: replica
 /// crashes, stragglers, and KV-link faults fire at barrier-aligned
 /// instants, and lost requests recover through the plan's retry policy.
@@ -1255,6 +1107,14 @@ pub fn run_autoscaled_faulty(
     cluster.into_outcome()
 }
 
+/// Runs a whole workload through a fresh **elastic** cluster:
+/// `bootstrap` replicas are live at time zero and `policy` resizes the
+/// fleet at every arrival barrier within `control`'s bounds. When
+/// `control` enables a
+/// [`control_tick`](tokenflow_control::ControlConfig::control_tick),
+/// synthetic barriers at that interval keep the plane observing (and
+/// retiring drained replicas) through arrival gaps. The execution
+/// strategy never changes results — scale decisions included.
 #[allow(clippy::too_many_arguments)]
 pub fn run_autoscaled(
     config: EngineConfig,

@@ -9,32 +9,27 @@
 //! be advanced independently via
 //! [`Engine::step_until`](tokenflow_core::Engine::step_until).
 //!
-//! [`Execution`] picks *how* that independent work runs:
+//! Every executor runs the same epoch loop over the same barrier
+//! sequence; [`Execution`] picks only *where* each replica's
+//! `step_until` runs:
 //!
 //! * [`Execution::Sequential`] — one replica after another on the calling
 //!   thread. Zero threading overhead; wall-clock cost grows linearly with
-//!   replica count. This is the reference implementation the other
-//!   strategies are differentially tested against.
+//!   replica count. This is the reference implementation the pool is
+//!   differentially tested against.
 //! * [`Execution::Parallel`] — busy replicas are claimed one at a time
 //!   from a batch by a persistent, condvar-parked
 //!   [`WorkerPool`](crate::WorkerPool) that the cluster spawns once and
 //!   reuses for every epoch of the run.
-//! * [`Execution::ScopedPerEpoch`] — the legacy strategy `Parallel`
-//!   replaced: fresh `std::thread::scope` workers at every epoch, each
-//!   handed a pre-carved contiguous slice of the busy list. Kept as a
-//!   differential-testing and benchmarking baseline; it is strictly
-//!   slower than the pool on barrier-dense workloads.
 //!
 //! Because an epoch's per-replica work is closed over the replica's own
 //! state (each [`Engine`] is a self-contained deterministic simulator and
 //! the router only runs on the coordinator between epochs), the executor
 //! choice cannot change a single byte of any outcome — property tests
-//! hold every shipped router and all three strategies to exactly that
-//! contract.
+//! hold every shipped router and both strategies to exactly that
+//! contract, epoch count included.
 
-use std::any::Any;
 use std::num::NonZeroUsize;
-use std::panic;
 use std::thread;
 
 use tokenflow_core::Engine;
@@ -48,19 +43,14 @@ pub enum Execution {
     /// Advance replicas one at a time on the coordinator thread.
     #[default]
     Sequential,
-    /// Advance busy replicas on a persistent worker pool with this many
-    /// lanes (the coordinator itself is one lane, so `Parallel(1)`
-    /// spawns no threads and is observably identical to
+    /// Advance busy replicas on a persistent worker pool with up to this
+    /// many lanes (the coordinator itself is one lane, and the pool never
+    /// runs more lanes than the host has cores, so `Parallel(1)` spawns
+    /// no threads and is observably identical to
     /// [`Execution::Sequential`]). Replicas are claimed item-by-item
     /// from a shared cursor, so one slow replica cannot idle a whole
     /// pre-carved slice.
     Parallel(NonZeroUsize),
-    /// Legacy per-epoch scoped threads: spawn up to this many workers at
-    /// every barrier and split the busy list into contiguous slices.
-    /// Superseded by [`Execution::Parallel`] (the spawn/join cost is
-    /// paid per epoch and epochs are far too short to amortize it); kept
-    /// as a measurable baseline.
-    ScopedPerEpoch(NonZeroUsize),
 }
 
 impl Execution {
@@ -69,7 +59,7 @@ impl Execution {
     /// falling back to sequential execution when parallelism cannot be
     /// determined.
     pub fn parallel_auto() -> Self {
-        // audit: allow(determinism, reason = "lane count is a capability, not an input: every Execution variant is byte-identical by the equivalence contract, so sizing to the host cannot reach an outcome")
+        // audit: allow(determinism, reason = "lane count is a capability, not an input: both Execution variants run one barrier sequence and canonical reports zero the pool counters, so sizing to the host cannot reach an outcome")
         thread::available_parallelism()
             .map(Execution::Parallel)
             .unwrap_or(Execution::Sequential)
@@ -80,34 +70,23 @@ impl Execution {
         Execution::Parallel(NonZeroUsize::new(threads.max(1)).expect("max(1) is non-zero"))
     }
 
-    /// Legacy scoped-thread constructor, clamping `threads` to at least
-    /// one. Exists for differential tests and the fleet benchmark.
-    pub fn scoped_per_epoch(threads: usize) -> Self {
-        Execution::ScopedPerEpoch(NonZeroUsize::new(threads.max(1)).expect("max(1) is non-zero"))
-    }
-
-    /// Short name for reports (`"sequential"` / `"parallel(n)"` /
-    /// `"scoped(n)"`).
+    /// Short name for reports (`"sequential"` / `"parallel(n)"`).
     pub fn describe(&self) -> String {
         match self {
             Execution::Sequential => "sequential".to_string(),
             Execution::Parallel(n) => format!("parallel({n})"),
-            Execution::ScopedPerEpoch(n) => format!("scoped({n})"),
         }
     }
 }
 
 /// Observability counters for a cluster's epoch executor (see
 /// [`ClusterEngine::executor_stats`](crate::ClusterEngine::executor_stats)).
-/// All counters are exact and deterministic for a given run.
+/// All counters are exact for a given run and executor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// Arrival-barrier epochs the coordinator ran.
+    /// Arrival-barrier epochs the coordinator ran — the same under every
+    /// executor.
     pub epochs: u64,
-    /// Arrival barriers coalesced into a running epoch by the
-    /// quiescent-target batching rule — each one saved a full
-    /// advance/wake cycle (see `ClusterEngine::extend_span`).
-    pub batched_barriers: u64,
     /// OS threads the persistent pool spawned; zero until the first
     /// parallel epoch, then constant (the pool is reused, never
     /// respawned).
@@ -125,7 +104,7 @@ pub struct ExecutorStats {
 /// afterwards.
 ///
 /// The executor only chooses *where* each replica's loop runs — never
-/// *what* it does — so all strategies produce identical replica states.
+/// *what* it does — so both strategies produce identical replica states.
 pub(crate) fn advance_until(
     replicas: &mut [Engine],
     done: &mut [bool],
@@ -146,65 +125,6 @@ pub(crate) fn advance_until(
             pool.get_or_insert_with(|| WorkerPool::new(threads))
                 .advance(replicas, done, until);
         }
-        Execution::ScopedPerEpoch(threads) => advance_scoped(replicas, done, until, threads),
-    }
-}
-
-/// The legacy strategy: per-epoch scoped threads over contiguous slices.
-fn advance_scoped(
-    replicas: &mut [Engine],
-    done: &mut [bool],
-    until: SimTime,
-    threads: NonZeroUsize,
-) {
-    // Collect the busy replicas (with their indices) and slice the
-    // list across workers. Slices are disjoint `&mut` borrows, so
-    // no synchronization is needed beyond scope join; results come
-    // back keyed by replica index, making the merge order-blind.
-    let mut busy: Vec<(usize, &mut Engine)> = replicas
-        .iter_mut()
-        .enumerate()
-        .filter(|(i, _)| !done[*i])
-        .collect();
-    if busy.is_empty() {
-        return;
-    }
-    let per_worker = busy.len().div_ceil(threads.get());
-    let mut payload: Option<Box<dyn Any + Send>> = None;
-    let verdicts: Vec<(usize, bool)> = thread::scope(|scope| {
-        let handles: Vec<_> = busy
-            .chunks_mut(per_worker)
-            .map(|slice| {
-                scope.spawn(move || {
-                    slice
-                        .iter_mut()
-                        .map(|(i, engine)| (*i, engine.step_until(until)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut verdicts = Vec::new();
-        for handle in handles {
-            match handle.join() {
-                Ok(slice_verdicts) => verdicts.extend(slice_verdicts),
-                // Keep the first payload but keep joining: every worker
-                // must be reaped before the scope ends, and the original
-                // panic message (a scheduler assertion, say) must
-                // survive instead of a generic join error.
-                Err(p) => {
-                    if payload.is_none() {
-                        payload = Some(p);
-                    }
-                }
-            }
-        }
-        verdicts
-    });
-    if let Some(p) = payload {
-        panic::resume_unwind(p);
-    }
-    for (i, finished) in verdicts {
-        done[i] = finished;
     }
 }
 
@@ -216,16 +136,11 @@ mod tests {
     fn describe_names_strategies() {
         assert_eq!(Execution::Sequential.describe(), "sequential");
         assert_eq!(Execution::parallel(4).describe(), "parallel(4)");
-        assert_eq!(Execution::scoped_per_epoch(4).describe(), "scoped(4)");
     }
 
     #[test]
     fn parallel_clamps_to_one_worker() {
         assert_eq!(Execution::parallel(0), Execution::parallel(1));
-        assert_eq!(
-            Execution::scoped_per_epoch(0),
-            Execution::scoped_per_epoch(1)
-        );
     }
 
     #[test]

@@ -28,18 +28,14 @@
 //!   [`run_autoscaled`]). Routers only ever see the active mask;
 //!   draining replicas finish their residents and drop out of epoch
 //!   stepping once empty.
-//! * [`executor`] / [`pool`] — how epochs run: [`Execution::Sequential`]
+//! * [`executor`] / [`pool`] — where epochs run: [`Execution::Sequential`]
 //!   walks the replicas on the coordinator thread;
 //!   [`Execution::Parallel`] feeds busy replicas to a persistent,
-//!   condvar-parked [`WorkerPool`] spawned once per run (the legacy
-//!   per-epoch `std::thread::scope` strategy survives as
-//!   [`Execution::ScopedPerEpoch`], a differential baseline). On top of
-//!   the pool, load-oblivious routers let the coordinator coalesce
-//!   consecutive arrival barriers whose dispatches land on quiescent
-//!   replicas. None of it can change a byte of any outcome (the
-//!   equivalence property tests in `tests/equivalence.rs` and
-//!   `tests/pool.rs` hold every shipped router and strategy to that),
-//!   so replica count is a *capability*, not a wall-clock cost.
+//!   condvar-parked [`WorkerPool`] spawned once per run. Both run one
+//!   epoch loop over one barrier sequence, and neither can change a byte
+//!   of any outcome (the equivalence property tests in
+//!   `tests/equivalence.rs` and `tests/pool.rs` hold every shipped router
+//!   to that), so replica count is a *capability*, not a wall-clock cost.
 //!
 //! Routing decisions consume [`EngineLoad`](tokenflow_core::EngineLoad)
 //! snapshots only, so routers cannot reach into replica internals and the

@@ -1,21 +1,20 @@
 //! A persistent worker pool for parallel epoch execution.
 //!
-//! The scoped-thread executor this pool replaced spawned (and joined) a
-//! fresh set of OS threads at *every* arrival barrier. Under a flash
-//! crowd — the regime the cluster layer exists to study — barriers are a
-//! few simulated milliseconds apart, so a run performs tens of thousands
-//! of spawn/join cycles whose cost rivals the simulation work itself.
+//! Under a flash crowd — the regime the cluster layer exists to study —
+//! arrival barriers are a few simulated milliseconds apart, so a run
+//! crosses tens of thousands of epochs. Spawning (and joining) threads
+//! per epoch would cost as much as the simulation work itself.
 //! [`WorkerPool`] spawns its threads once, parks them on a condvar
 //! between epochs, and feeds each epoch as a batch of per-replica work
-//! items claimed through an atomic cursor, so an uneven replica no
-//! longer idles a whole pre-carved slice.
+//! items claimed through a shared cursor, so an uneven replica never
+//! idles a pre-carved slice.
 //!
 //! # Protocol
 //!
 //! One epoch = one batch. The coordinator publishes the batch under the
 //! state mutex, wakes at most `len - 1` workers, and then **claims items
-//! itself** alongside them — `Execution::Parallel(1)` therefore spawns
-//! no threads at all and degenerates to the sequential loop. Each item
+//! itself** alongside them — a one-lane pool therefore spawns no threads
+//! at all and degenerates to the sequential loop. Each item
 //! is claimed exactly once (cursor increments under the mutex), executed
 //! outside the lock, and its verdict written back into the item slot.
 //! The last finisher clears the batch and signals the coordinator, which
@@ -148,6 +147,12 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Cores the host can run at once (one when that cannot be determined).
+fn host_cores() -> usize {
+    // audit: allow(determinism, reason = "the host core count only bounds how many threads drain a batch; item claim order cannot reach any outcome byte (pinned by the executor equivalence and chaos suites)")
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
 /// The persistent pool behind [`Execution::Parallel`](crate::Execution).
 ///
 /// Created lazily by the cluster on the first parallel epoch and reused
@@ -156,13 +161,6 @@ fn worker_loop(shared: &Shared) {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Most workers ever woken for one batch: `min(workers, host
-    /// parallelism - 1)`. Waking more threads than the host has cores
-    /// buys no concurrency — every extra wake is a futex plus a context
-    /// switch per epoch, which on a small host dwarfs the work itself.
-    /// Unwoken workers still exist (the lane count is the user's
-    /// contract) and still drain batches whenever they are awake.
-    wake_cap: usize,
     /// Reusable per-epoch item buffer. Filled before a batch is
     /// published and never reallocated while one is live.
     items: Vec<WorkItem>,
@@ -178,9 +176,13 @@ pub struct WorkerPool {
 unsafe impl Send for WorkerPool {}
 
 impl WorkerPool {
-    /// Spawns a pool sized for `threads` concurrent lanes: the
-    /// coordinator is one of them, so `threads - 1` OS threads are
-    /// created (named `tokenflow-pool-<i>`).
+    /// Spawns a pool of `min(threads, host cores)` concurrent lanes: the
+    /// coordinator is one of them, so at most that many minus one OS
+    /// threads are created (named `tokenflow-pool-<i>`). Lanes beyond the
+    /// host's cores buy no concurrency, only a context switch per epoch.
+    /// A refused spawn keeps the workers already running — the
+    /// coordinator alone is a valid pool — so no lane count can fail a
+    /// run.
     pub fn new(threads: NonZeroUsize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -193,19 +195,18 @@ impl WorkerPool {
             work_ready: Condvar::new(),
             work_done: Condvar::new(),
         });
-        let workers = (0..threads.get() - 1)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("tokenflow-pool-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        // audit: allow(determinism, reason = "the wake cap only bounds how many parked workers are woken per batch; item claim order cannot reach any outcome byte (pinned by the executor equivalence and chaos suites)")
-        let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut workers = Vec::new();
+        for i in 0..threads.get().min(host_cores()) - 1 {
+            let shared = Arc::clone(&shared);
+            let spawned = std::thread::Builder::new()
+                .name(format!("tokenflow-pool-{i}"))
+                .spawn(move || worker_loop(&shared));
+            match spawned {
+                Ok(handle) => workers.push(handle),
+                Err(_) => break,
+            }
+        }
         WorkerPool {
-            wake_cap: (threads.get() - 1).min(host.saturating_sub(1)),
             shared,
             workers,
             items: Vec::new(),
@@ -263,9 +264,8 @@ impl WorkerPool {
             st.remaining = len;
             // The coordinator claims items too, so only workers needed
             // beyond its own first claim are woken — a one-item epoch
-            // (the common sparse case) takes no futex at all — and never
-            // more than the host can actually run (`wake_cap`).
-            let wake = (len - 1).min(self.wake_cap);
+            // (the common sparse case) takes no futex at all.
+            let wake = (len - 1).min(self.workers.len());
             if wake == self.workers.len() {
                 self.shared.work_ready.notify_all();
             } else {
@@ -315,9 +315,21 @@ mod tests {
     }
 
     #[test]
-    fn pool_spawns_threads_minus_coordinator() {
+    fn pool_spawns_lanes_minus_coordinator_up_to_the_host() {
+        let host = host_cores();
         let pool = WorkerPool::new(NonZeroUsize::new(4).expect("non-zero"));
-        assert_eq!(pool.spawned_workers(), 3);
+        assert_eq!(pool.spawned_workers(), 4.min(host) - 1);
         assert_eq!(pool.submissions(), 0);
+    }
+
+    #[test]
+    fn lanes_beyond_the_host_spawn_at_most_host_minus_one() {
+        let host = host_cores();
+        let pool = WorkerPool::new(NonZeroUsize::new(host + 2000).expect("non-zero"));
+        assert!(
+            pool.spawned_workers() < host,
+            "{} workers on a {host}-core host",
+            pool.spawned_workers()
+        );
     }
 }

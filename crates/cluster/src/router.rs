@@ -44,11 +44,9 @@ pub trait Router: Send {
     /// Whether this policy's decisions are independent of snapshot
     /// *contents* (it may still read `loads.len()`). A router returning
     /// `true` must produce the same pick sequence for any snapshot
-    /// values of a given length; the cluster exploits that to reuse one
-    /// snapshot set per dispatch group and to coalesce consecutive
-    /// arrival barriers whose dispatches land on quiescent replicas
-    /// (see `ClusterEngine::extend_span`). Defaults to `false` — the
-    /// conservative answer is always sound.
+    /// values of a given length; the cluster exploits that to read one
+    /// snapshot set per dispatch group instead of one per request.
+    /// Defaults to `false` — the conservative answer is always sound.
     fn load_oblivious(&self) -> bool {
         false
     }

@@ -2,33 +2,24 @@
 //!
 //! The cluster's determinism argument is that replicas never observe each
 //! other between router dispatch points, so *where* their epoch work runs
-//! (coordinator thread vs scoped workers) cannot change any result. These
+//! (coordinator thread vs pooled workers) cannot change any result. These
 //! tests hold every shipped router to the strongest version of that
-//! claim: byte-identical merged reports, per-replica records, and
-//! assignments between [`Execution::Sequential`] and
-//! [`Execution::Parallel`] — equality under `PartialEq` *and* equality of
-//! the full `Debug` serialization, so even a single differing bit in an
-//! `f64` fails the suite.
+//! claim between [`Execution::Sequential`] and [`Execution::Parallel`]:
+//! the same merged-report digest (the canonical form renders every
+//! counter but the pool's own), the same epoch count, and per-replica
+//! records, reports, and assignments equal under `PartialEq` *and* under
+//! their full `Debug` serialization, so even a single differing bit in
+//! an `f64` fails the suite.
 
 use tokenflow_cluster::{
     run_cluster_with, BacklogAwareRouter, ClusterOutcome, Execution, LeastLoadedRouter,
     RateAwareRouter, RoundRobinRouter, Router,
 };
 use tokenflow_core::EngineConfig;
-use tokenflow_metrics::RunReport;
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::{FcfsScheduler, Scheduler, TokenFlowScheduler};
-use tokenflow_workload::{ControlledSetup, RateDist, Workload};
-
-/// The merged report through the executor-invariance lens: the
-/// executor-mechanics runtime counters (epochs, barrier batching, pool
-/// stats) are the one intentionally executor-visible surface — every
-/// other byte must match.
-fn invariant_merged(o: &ClusterOutcome) -> RunReport {
-    let mut merged = o.merged.clone();
-    merged.runtime = merged.runtime.invariant();
-    merged
-}
+use tokenflow_sim::{RequestId, SimTime};
+use tokenflow_workload::{ControlledSetup, RateDist, RequestSpec, Workload};
 
 const ROUTERS: [&str; 4] = ["round-robin", "least-loaded", "backlog-aware", "rate-aware"];
 
@@ -61,14 +52,32 @@ fn staggered_workload() -> Workload {
         .generate(7)
 }
 
+/// One request per second over a wide fleet: every arrival finds the
+/// whole fleet drained, so each barrier's dispatch lands on a quiescent
+/// replica — the traffic where coalescing barriers would be tempting.
+fn trickle_workload(requests: usize) -> Workload {
+    let specs = (0..requests)
+        .map(|i| RequestSpec {
+            id: RequestId(i as u64),
+            arrival: SimTime::from_secs(i as u64),
+            prompt_tokens: 48,
+            output_tokens: 8,
+            rate: 30.0,
+        })
+        .collect();
+    Workload::new(specs)
+}
+
 fn assert_byte_identical(a: &ClusterOutcome, b: &ClusterOutcome, label: &str) {
     assert_eq!(a.assignments, b.assignments, "{label}: assignments differ");
-    let (am, bm) = (invariant_merged(a), invariant_merged(b));
-    assert_eq!(am, bm, "{label}: merged reports differ");
     assert_eq!(
-        format!("{am:?}"),
-        format!("{bm:?}"),
-        "{label}: merged report serialization differs"
+        a.merged.digest(),
+        b.merged.digest(),
+        "{label}: merged report digests differ"
+    );
+    assert_eq!(
+        a.merged.runtime.epochs, b.merged.runtime.epochs,
+        "{label}: epoch counts differ"
     );
     assert_eq!(a.complete, b.complete, "{label}: completion differs");
     assert_eq!(
@@ -193,4 +202,25 @@ fn more_workers_than_replicas_is_executor_invariant() {
         Execution::parallel(16),
     );
     assert_byte_identical(&sequential, &parallel, "over-provisioned workers");
+}
+
+#[test]
+fn drained_fleet_trickle_runs_the_same_barriers() {
+    let w = trickle_workload(24);
+    let sequential = run(
+        &w,
+        8,
+        "round-robin",
+        || Box::new(TokenFlowScheduler::new()),
+        Execution::Sequential,
+    );
+    assert!(sequential.complete, "trickle run incomplete");
+    let parallel = run(
+        &w,
+        8,
+        "round-robin",
+        || Box::new(TokenFlowScheduler::new()),
+        Execution::parallel(2),
+    );
+    assert_byte_identical(&sequential, &parallel, "drained-fleet trickle");
 }

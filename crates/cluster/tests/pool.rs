@@ -1,7 +1,7 @@
 //! The persistent pool's contract, enforced: byte-identity under extreme
-//! replica skew, observable worker reuse, barrier batching invariance,
-//! and panic-payload survival through both parallel strategies.
+//! replica skew, observable worker reuse, and panic-payload survival.
 
+use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 
 use tokenflow_cluster::{
@@ -17,24 +17,16 @@ fn config() -> EngineConfig {
     EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090()).with_max_batch(16)
 }
 
-/// The merged report through the executor-invariance lens: the
-/// executor-mechanics runtime counters (epochs, barrier batching, pool
-/// stats) are the one intentionally executor-visible surface — every
-/// other byte must match.
-fn invariant_merged(o: &ClusterOutcome) -> tokenflow_metrics::RunReport {
-    let mut merged = o.merged.clone();
-    merged.runtime = merged.runtime.invariant();
-    merged
-}
-
 fn assert_byte_identical(a: &ClusterOutcome, b: &ClusterOutcome, label: &str) {
     assert_eq!(a.assignments, b.assignments, "{label}: assignments differ");
-    let (am, bm) = (invariant_merged(a), invariant_merged(b));
-    assert_eq!(am, bm, "{label}: merged reports differ");
     assert_eq!(
-        format!("{am:?}"),
-        format!("{bm:?}"),
-        "{label}: merged report serialization differs"
+        a.merged.digest(),
+        b.merged.digest(),
+        "{label}: merged report digests differ"
+    );
+    assert_eq!(
+        a.merged.runtime.epochs, b.merged.runtime.epochs,
+        "{label}: epoch counts differ"
     );
     assert_eq!(a.complete, b.complete, "{label}: completion differs");
     for (i, (x, y)) in a.replicas.iter().zip(&b.replicas).enumerate() {
@@ -53,8 +45,8 @@ fn assert_byte_identical(a: &ClusterOutcome, b: &ClusterOutcome, label: &str) {
 
 /// Round-robin over `replicas` replicas with every request that lands on
 /// replica 0 carrying a ~100x heavier decode than the rest: the worst
-/// case for the legacy contiguous-slice split, where the slice holding
-/// replica 0 serializes behind it while other workers idle.
+/// case for a contiguous-slice split, where the slice holding replica 0
+/// serializes behind it while other workers idle.
 fn skewed_workload(replicas: usize, rounds: usize) -> Workload {
     let mut specs = Vec::new();
     for i in 0..replicas * rounds {
@@ -72,21 +64,6 @@ fn skewed_workload(replicas: usize, rounds: usize) -> Workload {
     Workload::new(specs)
 }
 
-/// One request per second over a wide fleet: every arrival finds the
-/// whole fleet drained, the regime where barrier batching engages.
-fn trickle_workload(requests: usize) -> Workload {
-    let specs = (0..requests)
-        .map(|i| RequestSpec {
-            id: RequestId(i as u64),
-            arrival: SimTime::from_secs(i as u64),
-            prompt_tokens: 48,
-            output_tokens: 8,
-            rate: 30.0,
-        })
-        .collect();
-    Workload::new(specs)
-}
-
 #[test]
 fn skewed_replicas_are_byte_identical_across_all_strategies() {
     let workload = skewed_workload(4, 20);
@@ -101,9 +78,7 @@ fn skewed_replicas_are_byte_identical_across_all_strategies() {
         )
     };
     let sequential = run(Execution::Sequential);
-    let scoped = run(Execution::scoped_per_epoch(3));
     let pooled = run(Execution::parallel(3));
-    assert_byte_identical(&sequential, &scoped, "skew: sequential vs scoped");
     assert_byte_identical(&sequential, &pooled, "skew: sequential vs pooled");
     assert!(sequential.complete, "skewed run must complete");
 }
@@ -118,9 +93,11 @@ fn pool_is_reused_across_epochs_not_respawned() {
     cluster.submit_workload(&workload);
     assert!(cluster.run_to_completion());
     let stats = cluster.executor_stats();
-    // Parallel(3) = coordinator + 2 spawned threads, created exactly
-    // once; every epoch with busy replicas fed the same pool.
-    assert_eq!(stats.pool_workers, 2, "pool spawn count");
+    // Parallel(3) = coordinator + min(3, host) - 1 spawned threads,
+    // created exactly once; every epoch with busy replicas fed the same
+    // pool.
+    let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    assert_eq!(stats.pool_workers, 3.min(host) - 1, "pool spawn count");
     assert!(
         stats.pool_submissions > 10,
         "many epochs should reuse the pool (got {} submissions)",
@@ -129,43 +106,6 @@ fn pool_is_reused_across_epochs_not_respawned() {
     assert!(
         stats.pool_submissions <= stats.epochs,
         "at most one batch per epoch"
-    );
-}
-
-#[test]
-fn trickle_batches_barriers_and_stays_byte_identical() {
-    let workload = trickle_workload(24);
-    let sequential = run_cluster_with(
-        config(),
-        8,
-        RoundRobinRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        &workload,
-        Execution::Sequential,
-    );
-    let mut cluster = ClusterEngine::new(config(), 8, RoundRobinRouter::new(), || {
-        Box::new(TokenFlowScheduler::new())
-    })
-    .with_execution(Execution::parallel(2));
-    cluster.submit_workload(&workload);
-    assert!(cluster.run_to_completion());
-    let stats = cluster.executor_stats();
-    let pooled = cluster.into_outcome();
-    assert_byte_identical(&sequential, &pooled, "trickle: sequential vs pooled");
-    // Each arrival finds the fleet drained and rotation picks a fresh
-    // quiescent replica, so almost every barrier after the first should
-    // coalesce into a running epoch.
-    assert!(
-        stats.batched_barriers >= workload.len() as u64 / 2,
-        "drained-fleet trickle should batch most barriers (got {} of {})",
-        stats.batched_barriers,
-        workload.len()
-    );
-    assert!(
-        stats.epochs < workload.len() as u64,
-        "batching must save whole epochs ({} epochs for {} arrivals)",
-        stats.epochs,
-        workload.len()
     );
 }
 
@@ -226,14 +166,5 @@ fn scheduler_panic_message_survives_the_pool() {
     assert!(
         message.contains("kv accounting drifted"),
         "pooled execution must re-raise the original payload, got: {message}"
-    );
-}
-
-#[test]
-fn scheduler_panic_message_survives_scoped_threads() {
-    let message = run_panicking(Execution::scoped_per_epoch(3));
-    assert!(
-        message.contains("kv accounting drifted"),
-        "scoped execution must re-raise the original payload, got: {message}"
     );
 }

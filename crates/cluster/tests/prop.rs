@@ -107,18 +107,10 @@ proptest! {
             Execution::parallel(2),
         );
         prop_assert_eq!(&out.assignments, &par.assignments);
-        // Executor-mechanics runtime counters (epochs, barrier batching,
-        // pool stats) are the one intentionally executor-visible
-        // surface; everything else must match byte-for-byte.
-        let mut seq_m = out.merged.clone();
-        seq_m.runtime = seq_m.runtime.invariant();
-        let mut par_m = par.merged.clone();
-        par_m.runtime = par_m.runtime.invariant();
-        prop_assert_eq!(
-            format!("{seq_m:?}"),
-            format!("{par_m:?}")
-        );
-        prop_assert_eq!(seq_m, par_m);
+        // The canonical report renders every counter but the pool's own,
+        // so the digests must match; epochs run the same barriers.
+        prop_assert_eq!(out.merged.digest(), par.merged.digest());
+        prop_assert_eq!(out.merged.runtime.epochs, par.merged.runtime.epochs);
         for (x, y) in out.replicas.iter().zip(&par.replicas) {
             prop_assert_eq!(&x.records, &y.records);
             prop_assert_eq!(x.iterations, y.iterations);
@@ -211,17 +203,12 @@ proptest! {
         prop_assert_eq!(&seq.assignments, &par.assignments);
         prop_assert_eq!(&seq.scale_events, &par.scale_events);
         prop_assert_eq!(&seq.fleet, &par.fleet);
-        // As above: only the executor-mechanics runtime counters may
-        // differ between execution strategies.
-        let mut seq_m = seq.merged.clone();
-        seq_m.runtime = seq_m.runtime.invariant();
-        let mut par_m = par.merged.clone();
-        par_m.runtime = par_m.runtime.invariant();
         prop_assert_eq!(
-            format!("{:?}{:?}", seq_m, seq.scale_events),
-            format!("{:?}{:?}", par_m, par.scale_events)
+            format!("{:?}", seq.scale_events),
+            format!("{:?}", par.scale_events)
         );
-        prop_assert_eq!(seq_m, par_m);
+        prop_assert_eq!(seq.merged.digest(), par.merged.digest());
+        prop_assert_eq!(seq.merged.runtime.epochs, par.merged.runtime.epochs);
         prop_assert_eq!(seq.replicas.len(), par.replicas.len());
         for (x, y) in seq.replicas.iter().zip(&par.replicas) {
             prop_assert_eq!(&x.records, &y.records);

@@ -1,7 +1,7 @@
 //! The `Send` surface, pinned at compile time.
 //!
-//! The parallel epoch executor moves whole replicas (engine + boxed
-//! scheduler) onto scoped worker threads, which requires every shipped
+//! The parallel epoch executor hands whole replicas (engine + boxed
+//! scheduler) to pooled worker threads, which requires every shipped
 //! scheduler, router, engine, and the cluster itself to be `Send`. These
 //! assertions fail to *compile* if anyone threads a non-`Send` handle
 //! (an `Rc`, a raw pointer, a thread-local cache) into that surface —
@@ -68,12 +68,11 @@ fn parallel_one_equals_sequential() {
     let parallel_one = run(Execution::parallel(1));
     assert!(sequential.complete);
     assert_eq!(sequential.assignments, parallel_one.assignments);
-    // Executor-mechanics runtime counters (pool stats) are the one
-    // intentionally executor-visible surface; everything else must match.
-    let (mut sm, mut pm) = (sequential.merged.clone(), parallel_one.merged.clone());
-    sm.runtime = sm.runtime.invariant();
-    pm.runtime = pm.runtime.invariant();
-    assert_eq!(sm, pm);
+    assert_eq!(sequential.merged.digest(), parallel_one.merged.digest());
+    assert_eq!(
+        sequential.merged.runtime.epochs,
+        parallel_one.merged.runtime.epochs
+    );
     for (x, y) in sequential.replicas.iter().zip(&parallel_one.replicas) {
         assert_eq!(x.records, y.records);
         assert_eq!(x.iterations, y.iterations);

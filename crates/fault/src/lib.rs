@@ -4,8 +4,8 @@
 //! fixed simulation time, decided before the run starts. The cluster
 //! applies the plan **only at arrival barriers** — fault times become
 //! synthetic barriers, exactly like control ticks — so the coordinator is
-//! the only actor that ever mutates replica state, and the sequential,
-//! scoped, and pooled epoch executors stay byte-identical under any plan.
+//! the only actor that ever mutates replica state, and the sequential
+//! and pooled epoch executors stay byte-identical under any plan.
 //!
 //! Four fault shapes are modeled:
 //!

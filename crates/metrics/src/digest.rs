@@ -85,7 +85,9 @@ fn summary_json(s: &Summary) -> String {
 impl RunReport {
     /// The report's canonical JSON form (fixed field order, exact float
     /// rendering, duration in integer microseconds). See the module docs
-    /// for the stability contract. A `faults` member is appended only
+    /// for the stability contract. The runtime counters render through
+    /// [`RuntimeCounters::invariant`], so the form — and the digest — is
+    /// the same under every executor and host core count. A `faults` member is appended only
     /// when the report carries fault statistics, so fault-free reports —
     /// and every digest pinned before fault injection existed — render
     /// byte-identically to the historical form.
@@ -109,7 +111,7 @@ impl RunReport {
             self.recomputes,
             float(self.mean_generation_rate),
             float(self.replica_seconds),
-            runtime_json(&self.runtime),
+            runtime_json(&self.runtime.invariant()),
         );
         if let Some(f) = &self.faults {
             json.pop();
@@ -211,5 +213,17 @@ mod tests {
         let mut changed = base.clone();
         changed.throughput += 1e-12;
         assert_ne!(base.digest(), changed.digest());
+        let mut changed = base.clone();
+        changed.runtime.epochs += 1;
+        assert_ne!(base.digest(), changed.digest());
+    }
+
+    #[test]
+    fn pool_counters_never_reach_the_canonical_form() {
+        let base = report();
+        let mut pooled = base.clone();
+        pooled.runtime.pool_workers = 3;
+        pooled.runtime.pool_submissions = 42;
+        assert_eq!(base.canonical_json(), pooled.canonical_json());
     }
 }

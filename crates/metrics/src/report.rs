@@ -108,10 +108,12 @@ pub struct RuntimeCounters {
     pub horizons_expired: u64,
     /// Cluster arrival-barrier epochs executed.
     pub epochs: u64,
-    /// Epochs whose barriers were batched by the span optimisation.
+    /// Always zero: no executor coalesces arrival barriers. Kept so the
+    /// canonical form (and every digest pinned against it) keeps its
+    /// `batched_barriers` key.
     pub batched_barriers: u64,
-    /// Worker threads of the persistent executor pool (0 when sequential
-    /// or scoped).
+    /// Worker threads of the persistent executor pool (0 when
+    /// sequential).
     pub pool_workers: u64,
     /// Replica-advance tasks submitted to the pool.
     pub pool_submissions: u64,
@@ -135,22 +137,19 @@ impl RuntimeCounters {
         total
     }
 
-    /// Copy with the executor-mechanics counters (epochs, batched
-    /// barriers, pool stats) zeroed, keeping only the counters pinned by
-    /// the executor-invariance contract. The mechanics counters describe
-    /// *how* a cluster run was executed — barrier batching and worker
-    /// pools are exactly what `Sequential` vs `Parallel` changes — so
-    /// they are the one part of a report allowed to differ between
-    /// execution strategies. The fast-path counters are simulation
-    /// semantics and must not move; equivalence suites compare reports
-    /// through this view.
+    /// Copy with the two pool counters zeroed. They describe *where* a
+    /// cluster run's epochs executed — the worker pool's size depends on
+    /// the executor and the host's cores — so they are the one part of a
+    /// report allowed to differ between execution strategies. Everything
+    /// else, epochs included, is simulation semantics; the canonical form
+    /// ([`RunReport::canonical_json`](crate::RunReport::canonical_json))
+    /// renders this view, so a report's digest is the same under every
+    /// executor and on every host.
     pub fn invariant(&self) -> RuntimeCounters {
         RuntimeCounters {
-            fast_steps: self.fast_steps,
-            horizons_issued: self.horizons_issued,
-            horizons_invalidated: self.horizons_invalidated,
-            horizons_expired: self.horizons_expired,
-            ..RuntimeCounters::default()
+            pool_workers: 0,
+            pool_submissions: 0,
+            ..*self
         }
     }
 }

@@ -403,15 +403,6 @@ pub struct Harness {
 impl Harness {
     /// Runs the scenario to completion and reports.
     pub fn run(self) -> RunOutcome {
-        self.run_with_execution(None)
-    }
-
-    /// Runs with the topology's execution strategy overridden — the
-    /// trace determinism suite uses this to drive the legacy
-    /// scoped-per-epoch executor, which deliberately has no spec name.
-    /// `None` runs the spec's own strategy; the single topology has no
-    /// executor axis and ignores the override.
-    pub fn run_with_execution(self, execution_override: Option<Execution>) -> RunOutcome {
         let scheduler_spec = self.scheduler;
         let scheduler_name = scheduler_spec.build_scheduler().name().to_string();
         // Empty plans take the fault-free entry points, which are
@@ -443,7 +434,7 @@ impl Harness {
                 router,
                 execution,
             } => {
-                let execution = execution_override.unwrap_or_else(|| execution.build_execution());
+                let execution = execution.build_execution();
                 let out = match fault {
                     Some(plan) => run_cluster_faulty(
                         self.config,
@@ -485,7 +476,7 @@ impl Harness {
                 execution,
             } => {
                 let control_config = control.build_control(&self.config);
-                let execution = execution_override.unwrap_or_else(|| execution.build_execution());
+                let execution = execution.build_execution();
                 let out = match fault {
                     Some(plan) => run_autoscaled_faulty(
                         self.config,
@@ -681,6 +672,48 @@ mod tests {
             assert!(outcome.complete, "{router:?}");
             assert_eq!(outcome.report.completed, 8, "{router:?}");
             assert_eq!(outcome.replicas, 2);
+        }
+    }
+
+    #[test]
+    fn outcome_is_the_same_under_every_executor_and_lane_count() {
+        let run = |execution| {
+            ScenarioSpec {
+                workload: WorkloadSpec::Synthetic {
+                    arrivals: ArrivalSpecSpec::Poisson {
+                        rate: 20.0,
+                        duration_secs: 3.0,
+                    },
+                    prompt: LengthDistSpec::Fixed(128),
+                    output: LengthDistSpec::Fixed(64),
+                    rate: RateDistSpec::Fixed(15.0),
+                    seed: 7,
+                },
+                topology: TopologySpec::Cluster {
+                    replicas: 4,
+                    router: RouterSpec::RoundRobin,
+                    execution,
+                },
+                ..ScenarioSpec::default()
+            }
+            .build()
+            .unwrap()
+            .run()
+        };
+        let sequential = run(ExecutionSpec::Sequential);
+        assert!(sequential.complete);
+        for threads in [2, 4] {
+            let parallel = run(ExecutionSpec::Parallel(threads));
+            assert_eq!(
+                sequential.digest(),
+                parallel.digest(),
+                "parallel({threads})"
+            );
+            assert_eq!(
+                sequential.to_json().emit(),
+                parallel.to_json().emit(),
+                "parallel({threads})"
+            );
         }
     }
 

@@ -77,12 +77,12 @@ fn scheduler_spec(which: &str) -> SchedulerSpec {
 /// rewrites of the sampling walk have regressed them before), and the
 /// iteration count.
 /// The canonical report JSON with the `runtime` telemetry object zeroed.
-/// Runtime counters describe how a run was executed — fast-path hits,
-/// epoch batching, worker-pool reuse: exactly the numbers the
-/// fastpath-off and Sequential-vs-Parallel differential runs below are
+/// Runtime counters describe how a run was executed — fast-path hits
+/// are exactly what the fastpath-off differential runs below are
 /// *supposed* to change while every serving metric stays put. Digests
 /// therefore pin everything but them; the counters themselves are
-/// gated behaviorally (`tests/alloc.rs`, `crates/cluster/tests/pool.rs`).
+/// gated behaviorally (`tests/alloc.rs`, `crates/cluster/tests/pool.rs`)
+/// and, across executors, by [`assert_same_report`].
 fn semantic_json(report: &RunReport) -> String {
     let mut report = report.clone();
     report.runtime = RuntimeCounters::default();
@@ -119,6 +119,21 @@ fn cluster_digest(o: &ClusterOutcome) -> u64 {
         o.assignments, o.scale_events, o.fleet, o.complete
     ));
     fnv1a64(blob.as_bytes())
+}
+
+/// Executor invariance over the *whole* report: the canonical form
+/// renders every runtime counter but the pool's own, so the digests —
+/// and the epoch counts inside them — must match across executors.
+fn assert_same_report(seq: &ClusterOutcome, par: &ClusterOutcome, label: &str) {
+    assert_eq!(
+        seq.merged.digest(),
+        par.merged.digest(),
+        "{label}: Parallel(4) report diverged from Sequential"
+    );
+    assert_eq!(
+        seq.merged.runtime.epochs, par.merged.runtime.epochs,
+        "{label}: Parallel(4) ran different epochs"
+    );
 }
 
 /// Compares measured digests against the pinned table, printing the full
@@ -217,6 +232,7 @@ fn golden_cluster_per_router_and_executor() {
             let seq = run(Execution::Sequential);
             let par = run(Execution::parallel(4));
             assert!(seq.complete, "{which}: sequential run incomplete");
+            assert_same_report(&seq, &par, which);
             let (ds, dp) = (cluster_digest(&seq), cluster_digest(&par));
             assert_eq!(
                 ds, dp,
@@ -267,6 +283,7 @@ fn golden_differential_fast_path_off() {
             let seq = run(Execution::Sequential);
             let par = run(Execution::parallel(4));
             assert!(seq.complete, "{which}: fastpath-off sequential incomplete");
+            assert_same_report(&seq, &par, which);
             let (ds, dp) = (cluster_digest(&seq), cluster_digest(&par));
             assert_eq!(
                 ds, dp,
@@ -348,6 +365,7 @@ fn golden_autoscaled_per_policy_and_executor() {
             let seq = run(Execution::Sequential);
             let par = run(Execution::parallel(4));
             assert!(seq.complete, "{name}: sequential run incomplete");
+            assert_same_report(&seq, &par, &name);
             let (ds, dp) = (cluster_digest(&seq), cluster_digest(&par));
             assert_eq!(
                 ds, dp,

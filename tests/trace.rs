@@ -3,8 +3,8 @@
 //! The trace subsystem's contract, enforced end-to-end:
 //!
 //! 1. **Executor invariance** — the *full* rendered journal (meta events
-//!    and sequence numbers included) is byte-identical under Sequential,
-//!    scoped-per-epoch, and pooled execution, for every shipped router.
+//!    and sequence numbers included) is byte-identical under Sequential
+//!    and pooled execution, for every shipped router.
 //! 2. **Fast-path invariance** — the *canonical* journal (meta-filtered,
 //!    seq-stripped) is byte-identical with the plan-horizon fast path on
 //!    and off, single-engine and clustered.
@@ -41,19 +41,14 @@ fn load_spec(path: &str) -> ScenarioSpec {
     parse_scenario(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
 }
 
-/// Runs a spec with tracing on, optionally overriding the executor,
-/// returning the outcome and its journal.
-fn run_traced_on(spec: ScenarioSpec, execution: Option<Execution>) -> (RunOutcome, TraceJournal) {
+/// Runs a spec with tracing on, returning the outcome and its journal.
+fn run_traced(spec: ScenarioSpec) -> (RunOutcome, TraceJournal) {
     let mut harness = spec.build().expect("committed scenario builds");
     harness.config.trace = true;
-    let outcome = harness.run_with_execution(execution);
+    let outcome = harness.run();
     assert!(outcome.complete, "traced run incomplete");
     let journal = outcome.trace.clone().expect("traced run yields a journal");
     (outcome, journal)
-}
-
-fn run_traced(spec: ScenarioSpec) -> (RunOutcome, TraceJournal) {
-    run_traced_on(spec, None)
 }
 
 fn with_execution(mut spec: ScenarioSpec, execution: ExecutionSpec) -> ScenarioSpec {
@@ -77,21 +72,12 @@ fn full_journal_is_byte_identical_across_executors_for_every_router() {
             _ => panic!("fleet scenario must be a cluster"),
         }
         let (_, seq_journal) = run_traced(with_execution(spec.clone(), ExecutionSpec::Sequential));
-        let (_, pool_journal) =
-            run_traced(with_execution(spec.clone(), ExecutionSpec::Parallel(3)));
-        // scoped-per-epoch is the legacy strategy with no spec name; the
-        // harness override drives it directly.
-        let (_, scoped_journal) = run_traced_on(spec, Some(Execution::scoped_per_epoch(3)));
+        let (_, pool_journal) = run_traced(with_execution(spec, ExecutionSpec::Parallel(3)));
         let seq_text = trace_jsonl(&seq_journal);
         assert_eq!(
             seq_text,
             trace_jsonl(&pool_journal),
             "{router}: pooled journal diverged from sequential"
-        );
-        assert_eq!(
-            seq_text,
-            trace_jsonl(&scoped_journal),
-            "{router}: scoped journal diverged from sequential"
         );
         assert!(
             validate_trace_jsonl(&seq_text).expect("journal validates") > 0,
