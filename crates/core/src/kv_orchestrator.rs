@@ -57,13 +57,12 @@ pub(crate) fn apply_transfers(
 /// buffer occupancy (fuller buffers flush first — their owners are the
 /// likeliest preemption victims).
 ///
-/// Priorities are re-priced with one pass over the pending write queue
-/// (looking each queued request up in the id-sorted batch) rather than
-/// one queue scan per batch member — same updates, O(queue·log batch)
-/// instead of O(batch·queue). Skipping the buffer advance for members
-/// with nothing queued is invisible: a reader's time-advance is Markov
-/// in `t` (stalls anchor to the scheduled read instant, not the call
-/// instant), so the next advance produces the same state either way.
+/// Each decode member with queued tokens is re-priced through the write
+/// queue's per-request index, O(1) per member. Skipping the buffer
+/// advance for members with nothing queued is invisible: a reader's
+/// time-advance is Markov in `t` (stalls anchor to the scheduled read
+/// instant, not the call instant), so the next advance produces the same
+/// state either way.
 pub(crate) fn pump_write_through(
     st: &mut EngineState,
     kv: &mut KvManager,
@@ -71,13 +70,12 @@ pub(crate) fn pump_write_through(
     now: SimTime,
     window: SimDuration,
 ) {
-    debug_assert!(decode.is_sorted());
-    kv.retune_write_priorities(|req| {
-        decode
-            .binary_search(&req)
-            .ok()
-            .map(|_| st.state_mut(req).buffer.buffered(now) as f64)
-    });
+    for &req in decode {
+        if kv.write_backlog_for(req) > 0 {
+            let buffered = st.state_mut(req).buffer.buffered(now) as f64;
+            kv.set_write_priority(req, buffered);
+        }
+    }
     kv.pump_writes(now, window);
 }
 

@@ -9,7 +9,9 @@
 //!   queue-depth/ETA queries that feed the scheduler's `t_IO` estimate.
 //! * [`write_queue`] — the write-through buffer: dirty (GPU-only) token
 //!   ranges queued for background D2H sync, priority-ordered by the owner's
-//!   buffer occupancy (§5.2 "priority-based write ordering").
+//!   buffer occupancy (§5.2 "priority-based write ordering"). One entry per
+//!   request behind a dense per-request index, so the per-token push and
+//!   the per-step re-prioritisation are O(1); each pull is one sort.
 //! * [`manager`] — the [`KvManager`](manager::KvManager) tying them
 //!   together: write-through sync pumped in compute-sized chunks
 //!   (synchronous chunked writing), near-instant preemption of synced

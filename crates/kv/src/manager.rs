@@ -340,6 +340,11 @@ impl KvManager {
         self.write_queue.pending_tokens()
     }
 
+    /// Tokens of `req` awaiting background write-through sync.
+    pub fn write_backlog_for(&self, req: RequestId) -> u64 {
+        self.write_queue.pending_for(req)
+    }
+
     /// Dirty (host-unsynced) tokens of a request, counting in-flight sync
     /// as clean-to-be.
     pub fn dirty_tokens(&self, req: RequestId) -> u64 {
@@ -398,14 +403,6 @@ impl KvManager {
     /// request's current buffer occupancy; larger buffers flush first).
     pub fn set_write_priority(&mut self, req: RequestId, priority: f64) {
         self.write_queue.set_priority(req, priority);
-    }
-
-    /// Bulk write-priority update: one pass over the pending write queue,
-    /// asking `f` for each queued request's new priority (`None` = keep).
-    /// Equivalent to calling [`KvManager::set_write_priority`] for every
-    /// request `f` prices, without the per-request queue scan.
-    pub fn retune_write_priorities<F: FnMut(RequestId) -> Option<f64>>(&mut self, f: F) {
-        self.write_queue.retune(f);
     }
 
     fn set_gpu_hold(&mut self, req: RequestId, new_tokens: u64) -> Result<(), KvError> {
@@ -604,17 +601,16 @@ impl KvManager {
             return;
         }
         let mut chunks = std::mem::take(&mut self.chunk_scratch);
-        chunks.clear();
         self.write_queue
             .pull_into(budget_tokens, self.config.chunk_tokens, &mut chunks);
-        for chunk in chunks.drain(..) {
+        let mut sent = chunks.len();
+        for (i, &chunk) in chunks.iter().enumerate() {
             let Some(s) = self.req_state(chunk.req) else {
                 continue;
             };
             let new_cpu_hold = s.cpu_hold + chunk.tokens;
             if self.set_cpu_hold(chunk.req, new_cpu_hold).is_err() {
-                // Host pool full: leave the tokens dirty for later.
-                self.write_queue.push(chunk.req, chunk.tokens, 0.0);
+                sent = i;
                 break;
             }
             self.pcie.enqueue(
@@ -628,6 +624,11 @@ impl KvManager {
             );
             let s = self.req_state_mut(chunk.req).expect("request state");
             s.wt_inflight += chunk.tokens;
+        }
+        // Host pool full: the failing chunk and every chunk pulled after it
+        // stay dirty, so they go back in the queue, in pull order.
+        for chunk in chunks.iter().skip(sent) {
+            self.write_queue.push(chunk.req, chunk.tokens, 0.0);
         }
         self.chunk_scratch = chunks;
     }
@@ -878,6 +879,26 @@ mod tests {
         // GPU copy is retained under write-through.
         assert_eq!(kv.residency(r(0)), Residency::Gpu);
         assert!(kv.gpu_pool().used_blocks() > 0);
+        assert!(kv.check_conservation());
+    }
+
+    #[test]
+    fn full_host_pool_requeues_every_unsent_chunk() {
+        let mut cfg = KvConfig::test_config();
+        cfg.cpu_blocks = 4;
+        let mut kv = KvManager::new(cfg);
+        for (i, priority) in [3.0, 2.0, 1.0].into_iter().enumerate() {
+            kv.on_prefill(r(i as u64), 48, SimTime::ZERO).unwrap();
+            kv.set_write_priority(r(i as u64), priority);
+        }
+        // Room for r0's 3 blocks only: r1's chunk fails, r2's was pulled
+        // after it and must not leave the queue either.
+        kv.pump_writes(SimTime::ZERO, SimDuration::from_millis(50));
+        let dirty: u64 = (0..3).map(|i| kv.dirty_tokens(r(i))).sum();
+        assert_eq!(dirty, 96);
+        assert_eq!(kv.write_backlog_tokens(), dirty);
+        assert_eq!(kv.write_backlog_for(r(1)), 48);
+        assert_eq!(kv.write_backlog_for(r(2)), 48);
         assert!(kv.check_conservation());
     }
 

@@ -9,10 +9,20 @@
 //! with larger output buffers are more likely to be preempted soon, so their
 //! dirty tokens are flushed first (§5.2). A FIFO mode is kept for the
 //! Figure 8 comparison.
+//!
+//! Every decoded token is pushed here and every decode member is
+//! re-prioritised each step, so the queue keeps one item per request and a
+//! dense position index keyed by the dense `RequestId`: `push`,
+//! `set_priority`, `cancel` and `pending_for` are O(1). A pull sorts the
+//! items once by flush order and drains the sorted prefix, O(Q log Q) for
+//! Q queued requests.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
 
 use tokenflow_sim::RequestId;
+
+/// Position-index value for a request with nothing queued.
+const ABSENT: u32 = u32::MAX;
 
 /// One pending dirty range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,7 +60,12 @@ pub struct WriteChunk {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WriteQueue {
-    items: VecDeque<WriteItem>,
+    /// One item per request with pending tokens, in no particular order
+    /// (flush order right after a pull).
+    items: Vec<WriteItem>,
+    /// `slots[req]` is the position of `req`'s item in `items`, or
+    /// [`ABSENT`]. Grows on first push of an id.
+    slots: Vec<u32>,
     priority_mode: bool,
     next_seq: u64,
 }
@@ -60,9 +75,30 @@ impl WriteQueue {
     /// (the paper's default) over FIFO.
     pub fn new(priority_mode: bool) -> Self {
         WriteQueue {
-            items: VecDeque::new(),
             priority_mode,
-            next_seq: 0,
+            ..WriteQueue::default()
+        }
+    }
+
+    fn position(&self, req: RequestId) -> Option<usize> {
+        match self.slots.get(req.0 as usize) {
+            Some(&pos) if pos != ABSENT => Some(pos as usize),
+            _ => None,
+        }
+    }
+
+    fn item_mut(&mut self, req: RequestId) -> Option<&mut WriteItem> {
+        let pos = self.position(req)?;
+        self.items.get_mut(pos)
+    }
+
+    fn set_slot(&mut self, req: RequestId, pos: u32) {
+        let idx = req.0 as usize;
+        if self.slots.len() <= idx {
+            self.slots.resize(idx + 1, ABSENT);
+        }
+        if let Some(slot) = self.slots.get_mut(idx) {
+            *slot = pos;
         }
     }
 
@@ -72,14 +108,15 @@ impl WriteQueue {
         if tokens == 0 {
             return;
         }
-        if let Some(item) = self.items.iter_mut().find(|i| i.req == req) {
+        if let Some(item) = self.item_mut(req) {
             item.tokens += tokens;
             item.priority = priority;
             return;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.items.push_back(WriteItem {
+        self.set_slot(req, self.items.len() as u32);
+        self.items.push(WriteItem {
             req,
             tokens,
             priority,
@@ -89,22 +126,8 @@ impl WriteQueue {
 
     /// Updates the flush priority of a request's pending tokens.
     pub fn set_priority(&mut self, req: RequestId, priority: f64) {
-        if let Some(item) = self.items.iter_mut().find(|i| i.req == req) {
+        if let Some(item) = self.item_mut(req) {
             item.priority = priority;
-        }
-    }
-
-    /// Re-prices every queued entry in one pass: `f` returns the new
-    /// priority for a request, or `None` to leave it unchanged.
-    ///
-    /// This is the bulk form of [`WriteQueue::set_priority`] for callers
-    /// updating many requests per step — one walk of the queue instead of
-    /// a linear scan per request.
-    pub fn retune<F: FnMut(RequestId) -> Option<f64>>(&mut self, mut f: F) {
-        for item in &mut self.items {
-            if let Some(p) = f(item.req) {
-                item.priority = p;
-            }
         }
     }
 
@@ -112,16 +135,15 @@ impl WriteQueue {
     /// request is preempted — the remainder flushes via the eviction path —
     /// or released).
     pub fn cancel(&mut self, req: RequestId) -> u64 {
-        let mut removed = 0;
-        self.items.retain(|i| {
-            if i.req == req {
-                removed += i.tokens;
-                false
-            } else {
-                true
-            }
-        });
-        removed
+        let Some(pos) = self.position(req) else {
+            return 0;
+        };
+        self.set_slot(req, ABSENT);
+        let item = self.items.swap_remove(pos);
+        if let Some(moved) = self.items.get(pos) {
+            self.set_slot(moved.req, pos as u32);
+        }
+        item.tokens
     }
 
     /// Pulls up to `budget` tokens of chunks, each at most `max_chunk`
@@ -137,41 +159,48 @@ impl WriteQueue {
 
     /// [`WriteQueue::pull`] into a caller-retained buffer (cleared first),
     /// for per-step callers that must not allocate in the steady state.
+    ///
+    /// Priorities are fixed for the whole pull, so flush order is one sort:
+    /// each item drains completely before the next starts, and a partly
+    /// pulled item keeps its key and stays first.
     pub fn pull_into(&mut self, budget: u64, max_chunk: u64, out: &mut Vec<WriteChunk>) {
         assert!(max_chunk > 0, "max_chunk must be positive");
         out.clear();
+        if budget == 0 || self.items.is_empty() {
+            return;
+        }
+        if self.priority_mode {
+            self.items.sort_unstable_by(priority_order);
+        } else {
+            self.items.sort_unstable_by_key(|i| i.seq);
+        }
         let mut remaining = budget;
-        while remaining > 0 {
-            let idx = match self.next_index() {
-                Some(i) => i,
-                None => break,
-            };
-            let take = self.items[idx].tokens.min(max_chunk).min(remaining);
-            self.items[idx].tokens -= take;
-            let req = self.items[idx].req;
-            if self.items[idx].tokens == 0 {
-                self.items.remove(idx);
+        let mut drained = 0;
+        for item in &mut self.items {
+            while item.tokens > 0 && remaining > 0 {
+                let take = item.tokens.min(max_chunk).min(remaining);
+                item.tokens -= take;
+                remaining -= take;
+                out.push(WriteChunk {
+                    req: item.req,
+                    tokens: take,
+                });
             }
-            out.push(WriteChunk { req, tokens: take });
-            remaining -= take;
+            if item.tokens > 0 {
+                break;
+            }
+            drained += 1;
         }
-    }
-
-    fn next_index(&self) -> Option<usize> {
-        if self.items.is_empty() {
-            return None;
-        }
-        if !self.priority_mode {
-            return Some(0);
-        }
-        let mut best = 0;
-        for i in 1..self.items.len() {
-            let (a, b) = (&self.items[i], &self.items[best]);
-            if a.priority > b.priority || (a.priority == b.priority && a.seq < b.seq) {
-                best = i;
+        for item in self.items.drain(..drained) {
+            if let Some(slot) = self.slots.get_mut(item.req.0 as usize) {
+                *slot = ABSENT;
             }
         }
-        Some(best)
+        for (pos, item) in self.items.iter().enumerate() {
+            if let Some(slot) = self.slots.get_mut(item.req.0 as usize) {
+                *slot = pos as u32;
+            }
+        }
     }
 
     /// Total pending tokens.
@@ -181,17 +210,26 @@ impl WriteQueue {
 
     /// Pending tokens for a specific request.
     pub fn pending_for(&self, req: RequestId) -> u64 {
-        self.items
-            .iter()
-            .filter(|i| i.req == req)
-            .map(|i| i.tokens)
-            .sum()
+        self.position(req)
+            .and_then(|pos| self.items.get(pos))
+            .map_or(0, |i| i.tokens)
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
+}
+
+/// Priority-mode flush order: priority descending, ties by arrival — the
+/// order an argmax under `a.priority > b.priority || (a.priority ==
+/// b.priority && a.seq < b.seq)` visits. `+ 0.0` folds `-0.0` into `0.0`
+/// so `total_cmp` ties them as `==` does; `seq` is unique, so no two
+/// items compare equal.
+fn priority_order(a: &WriteItem, b: &WriteItem) -> Ordering {
+    (b.priority + 0.0)
+        .total_cmp(&(a.priority + 0.0))
+        .then(a.seq.cmp(&b.seq))
 }
 
 #[cfg(test)]
@@ -279,6 +317,49 @@ mod tests {
         q.push(r(6), 10, 3.0);
         let order: Vec<u64> = q.pull(20, 10).iter().map(|c| c.req.0).collect();
         assert_eq!(order, vec![5, 6]);
+    }
+
+    #[test]
+    fn cancel_keeps_the_other_requests_indexed() {
+        let mut q = WriteQueue::new(true);
+        q.push(r(0), 10, 1.0);
+        q.push(r(1), 20, 2.0);
+        q.push(r(2), 30, 3.0);
+        assert_eq!(q.cancel(r(0)), 10);
+        q.push(r(2), 5, 0.5);
+        assert_eq!(q.pending_for(r(1)), 20);
+        assert_eq!(q.pending_for(r(2)), 35);
+        let order: Vec<u64> = q.pull(55, 64).iter().map(|c| c.req.0).collect();
+        assert_eq!(order, vec![1, 2]);
+        assert!(q.is_empty());
+        assert_eq!(q.pending_tokens(), 0);
+    }
+
+    #[test]
+    fn negative_zero_ties_zero() {
+        let mut q = WriteQueue::new(true);
+        q.push(r(0), 10, 0.0);
+        q.push(r(1), 10, -0.0);
+        q.set_priority(r(0), -0.0);
+        q.set_priority(r(1), 0.0);
+        let order: Vec<u64> = q.pull(20, 10).iter().map(|c| c.req.0).collect();
+        assert_eq!(order, vec![0, 1]);
+    }
+
+    #[test]
+    fn partial_pull_keeps_its_place() {
+        let mut q = WriteQueue::new(true);
+        q.push(r(0), 100, 5.0);
+        q.push(r(1), 100, 5.0);
+        let first: Vec<(u64, u64)> = q.pull(30, 16).iter().map(|c| (c.req.0, c.tokens)).collect();
+        assert_eq!(first, vec![(0, 16), (0, 14)]);
+        let next: Vec<(u64, u64)> = q
+            .pull(100, 64)
+            .iter()
+            .map(|c| (c.req.0, c.tokens))
+            .collect();
+        assert_eq!(next, vec![(0, 64), (0, 6), (1, 30)]);
+        assert_eq!(q.pending_for(r(1)), 70);
     }
 
     #[test]
