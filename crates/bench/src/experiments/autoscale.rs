@@ -20,18 +20,16 @@
 
 use std::num::NonZeroUsize;
 
-use tokenflow_cluster::{
-    run_autoscaled, run_cluster_with, BacklogAwareRouter, ClusterOutcome, Execution,
-};
+use tokenflow_cluster::{BacklogAwareRouter, ClusterEngine, ClusterOutcome, Execution};
 use tokenflow_control::{ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy};
 use tokenflow_core::EngineConfig;
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::json::{n, ni, obj, s, Json};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
-use tokenflow_workload::{diurnal_flash_crowd, RateDist, Workload};
+use tokenflow_workload::Workload;
 
-use crate::experiments::fixed;
+use crate::experiments::{assert_executor_invariant, crowd_wave_trace, fixed};
 use crate::table::{f, Table};
 
 /// One fleet configuration's results on the stress trace.
@@ -123,35 +121,16 @@ impl AutoscaleSetup {
         }
     }
 
-    /// The stress trace: diurnal base + crowd waves, composed with the
-    /// `Workload::offset`/`merge` helpers.
+    /// The stress trace: diurnal base + ramped crowd waves.
     pub fn workload(&self) -> Workload {
-        let rate = RateDist::Uniform { lo: 8.0, hi: 24.0 };
-        let wave_size = self.crowd / self.crowd_waves.max(1);
-        // Base trace plus the first wave from the preset itself...
-        let mut parts = vec![diurnal_flash_crowd(
+        crowd_wave_trace(
             self.base_peak_rate,
             self.duration,
-            wave_size,
+            self.crowd,
+            self.crowd_waves,
             self.crowd_at,
-            rate.clone(),
             self.seed,
-        )];
-        // ...then the remaining waves, one second apart (the ramp).
-        for wave in 1..self.crowd_waves {
-            let burst = diurnal_flash_crowd(
-                self.base_peak_rate,
-                SimDuration::ZERO, // no base: duration-zero diurnal is empty
-                wave_size,
-                SimTime::ZERO,
-                rate.clone(),
-                self.seed ^ u64::from(wave),
-            );
-            parts.push(burst.offset(
-                self.crowd_at.saturating_since(SimTime::ZERO) + SimDuration::from_secs(wave.into()),
-            ));
-        }
-        Workload::merge(parts)
+        )
     }
 }
 
@@ -192,27 +171,6 @@ fn row_from(fleet: &str, out: &ClusterOutcome, static_size: Option<usize>) -> Au
     }
 }
 
-fn assert_executor_invariant(seq: &ClusterOutcome, par: &ClusterOutcome, label: &str) {
-    assert_eq!(
-        seq.assignments, par.assignments,
-        "{label}: assignment divergence across executors"
-    );
-    assert_eq!(
-        seq.scale_events, par.scale_events,
-        "{label}: scale-decision divergence across executors"
-    );
-    // The canonical report leaves out only the pool's own counters.
-    assert_eq!(
-        seq.merged.digest(),
-        par.merged.digest(),
-        "{label}: merged-report divergence across executors"
-    );
-    assert_eq!(
-        seq.fleet, par.fleet,
-        "{label}: fleet-accounting divergence across executors"
-    );
-}
-
 /// Runs the sweep: the static baseline plus one autoscaled fleet per
 /// shipped policy, each under both executors (asserted byte-identical —
 /// an autoscale number from a broken determinism contract is worse than
@@ -226,14 +184,14 @@ pub fn autoscale_sweep(setup: &AutoscaleSetup, workers: NonZeroUsize) -> Vec<Aut
     let mut rows = Vec::new();
 
     let static_run = |execution: Execution| {
-        run_cluster_with(
+        ClusterEngine::new(
             config(),
             setup.static_fleet,
             BacklogAwareRouter::new(),
             || Box::new(TokenFlowScheduler::new()),
-            &workload,
-            execution,
         )
+        .with_execution(execution)
+        .run(&workload)
     };
     let seq = static_run(Execution::Sequential);
     let par = static_run(Execution::Parallel(workers));
@@ -259,16 +217,12 @@ pub fn autoscale_sweep(setup: &AutoscaleSetup, workers: NonZeroUsize) -> Vec<Aut
     ];
     for (name, make) in policies {
         let elastic_run = |execution: Execution| {
-            run_autoscaled(
-                config(),
-                setup.bootstrap,
-                BacklogAwareRouter::new(),
-                || Box::new(TokenFlowScheduler::new()),
-                make(),
-                control(setup),
-                &workload,
-                execution,
-            )
+            ClusterEngine::new(config(), setup.bootstrap, BacklogAwareRouter::new(), || {
+                Box::new(TokenFlowScheduler::new())
+            })
+            .with_autoscaler(make(), control(setup))
+            .with_execution(execution)
+            .run(&workload)
         };
         let seq = elastic_run(Execution::Sequential);
         let par = elastic_run(Execution::Parallel(workers));

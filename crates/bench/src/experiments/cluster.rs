@@ -6,7 +6,7 @@
 //! sweep; Andes-style QoE scheduling motivates the rate-aware policy).
 
 use tokenflow_cluster::{
-    run_cluster, ClusterOutcome, LeastLoadedRouter, RateAwareRouter, RoundRobinRouter, Router,
+    ClusterEngine, ClusterOutcome, LeastLoadedRouter, RateAwareRouter, RoundRobinRouter, Router,
 };
 use tokenflow_core::EngineConfig;
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -78,13 +78,8 @@ pub fn cluster_burst() -> String {
             &["round-robin", "least-loaded", "rate-aware"]
         };
         for which in routers {
-            let out = run_cluster(
-                config.clone(),
-                replicas,
-                make_router(which),
-                scheduler,
-                &workload,
-            );
+            let out = ClusterEngine::new(config.clone(), replicas, make_router(which), scheduler)
+                .run(&workload);
             table.row(vec![
                 replicas.to_string(),
                 (*which).to_string(),

@@ -18,18 +18,16 @@
 
 use std::num::NonZeroUsize;
 
-use tokenflow_cluster::{
-    run_cluster_faulty, run_cluster_with, BacklogAwareRouter, ClusterOutcome, Execution,
-};
+use tokenflow_cluster::{BacklogAwareRouter, ClusterEngine, ClusterOutcome, Execution};
 use tokenflow_core::EngineConfig;
 use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::json::{n, ni, obj, s, Json};
 use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
-use tokenflow_workload::{diurnal_flash_crowd, RateDist, Workload};
+use tokenflow_workload::Workload;
 
-use crate::experiments::fixed;
+use crate::experiments::{assert_executor_invariant, crowd_wave_trace, fixed};
 use crate::table::{f, Table};
 
 /// One configuration's results on the crash trace.
@@ -116,33 +114,17 @@ impl FaultSetup {
         }
     }
 
-    /// The stress trace: diurnal base + crowd waves, composed exactly
-    /// like the autoscale experiment's (same helpers, same ramp shape).
+    /// The stress trace: the autoscale experiment's diurnal base +
+    /// ramped crowd waves.
     pub fn workload(&self) -> Workload {
-        let rate = RateDist::Uniform { lo: 8.0, hi: 24.0 };
-        let wave_size = self.crowd / self.crowd_waves.max(1);
-        let mut parts = vec![diurnal_flash_crowd(
+        crowd_wave_trace(
             self.base_peak_rate,
             self.duration,
-            wave_size,
+            self.crowd,
+            self.crowd_waves,
             self.crowd_at,
-            rate.clone(),
             self.seed,
-        )];
-        for wave in 1..self.crowd_waves {
-            let burst = diurnal_flash_crowd(
-                self.base_peak_rate,
-                SimDuration::ZERO, // no base: duration-zero diurnal is empty
-                wave_size,
-                SimTime::ZERO,
-                rate.clone(),
-                self.seed ^ u64::from(wave),
-            );
-            parts.push(burst.offset(
-                self.crowd_at.saturating_since(SimTime::ZERO) + SimDuration::from_secs(wave.into()),
-            ));
-        }
-        Workload::merge(parts)
+        )
     }
 
     /// The crash plan: one fail-stop, recovery per `retry`.
@@ -183,29 +165,6 @@ fn row_from(config: &str, out: &ClusterOutcome) -> FaultRow {
     }
 }
 
-fn assert_executor_invariant(seq: &ClusterOutcome, par: &ClusterOutcome, label: &str) {
-    assert_eq!(
-        seq.assignments, par.assignments,
-        "{label}: assignment divergence across executors"
-    );
-    assert_eq!(
-        seq.scale_events, par.scale_events,
-        "{label}: scale-decision divergence across executors"
-    );
-    // The canonical report leaves out only the pool's own counters, and
-    // `faults` rides inside it, so fault and recovery accounting is
-    // covered by this equality.
-    assert_eq!(
-        seq.merged.digest(),
-        par.merged.digest(),
-        "{label}: merged-report divergence across executors"
-    );
-    assert_eq!(
-        seq.fleet, par.fleet,
-        "{label}: fleet-accounting divergence across executors"
-    );
-}
-
 /// Runs the three-way comparison — healthy, crash-with-recovery,
 /// crash-without-retries — each under both executors (asserted
 /// byte-identical, fault accounting included).
@@ -218,14 +177,11 @@ pub fn fault_sweep(setup: &FaultSetup, workers: NonZeroUsize) -> Vec<FaultRow> {
     let mut rows = Vec::new();
 
     let healthy = |execution: Execution| {
-        run_cluster_with(
-            config(),
-            setup.fleet,
-            BacklogAwareRouter::new(),
-            || Box::new(TokenFlowScheduler::new()),
-            &workload,
-            execution,
-        )
+        ClusterEngine::new(config(), setup.fleet, BacklogAwareRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .with_execution(execution)
+        .run(&workload)
     };
     let seq = healthy(Execution::Sequential);
     let par = healthy(Execution::Parallel(workers));
@@ -244,15 +200,12 @@ pub fn fault_sweep(setup: &FaultSetup, workers: NonZeroUsize) -> Vec<FaultRow> {
     ];
     for (name, retry) in plans {
         let faulted = |execution: Execution| {
-            run_cluster_faulty(
-                config(),
-                setup.fleet,
-                BacklogAwareRouter::new(),
-                || Box::new(TokenFlowScheduler::new()),
-                setup.plan(retry),
-                &workload,
-                execution,
-            )
+            ClusterEngine::new(config(), setup.fleet, BacklogAwareRouter::new(), || {
+                Box::new(TokenFlowScheduler::new())
+            })
+            .with_fault_plan(setup.plan(retry))
+            .with_execution(execution)
+            .run(&workload)
         };
         let seq = faulted(Execution::Sequential);
         let par = faulted(Execution::Parallel(workers));

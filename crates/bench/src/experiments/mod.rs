@@ -7,7 +7,10 @@
 //! numbers (the substrate is an analytical simulator, not the authors'
 //! testbed).
 
+use tokenflow_cluster::ClusterOutcome;
 use tokenflow_scenario::json::{self, Json};
+use tokenflow_sim::{SimDuration, SimTime};
+use tokenflow_workload::{diurnal_flash_crowd, RateDist, Workload};
 
 pub mod autoscale;
 pub mod cluster;
@@ -165,6 +168,75 @@ pub fn run_by_id(id: &str) -> Option<String> {
 /// the precision their tables print rather than every digit of the f64.
 pub(crate) fn fixed(v: f64, decimals: usize) -> Json {
     json::n(format!("{v:.decimals$}").parse().unwrap_or(v))
+}
+
+/// The stress trace of the autoscale and fault experiments: a diurnal
+/// base of `duration` peaking at `base_peak_rate` req/s, plus a
+/// `crowd`-request flash crowd split into `waves` one-second waves from
+/// `crowd_at` (the ramp), composed with `Workload::offset`/`merge`.
+pub(crate) fn crowd_wave_trace(
+    base_peak_rate: f64,
+    duration: SimDuration,
+    crowd: u32,
+    waves: u32,
+    crowd_at: SimTime,
+    seed: u64,
+) -> Workload {
+    let rate = RateDist::Uniform { lo: 8.0, hi: 24.0 };
+    let wave_size = crowd / waves.max(1);
+    // Base trace plus the first wave from the preset itself...
+    let mut parts = vec![diurnal_flash_crowd(
+        base_peak_rate,
+        duration,
+        wave_size,
+        crowd_at,
+        rate.clone(),
+        seed,
+    )];
+    // ...then the remaining waves, one second apart (the ramp).
+    for wave in 1..waves {
+        let burst = diurnal_flash_crowd(
+            base_peak_rate,
+            SimDuration::ZERO, // no base: duration-zero diurnal is empty
+            wave_size,
+            SimTime::ZERO,
+            rate.clone(),
+            seed ^ u64::from(wave),
+        );
+        parts.push(burst.offset(
+            crowd_at.saturating_since(SimTime::ZERO) + SimDuration::from_secs(wave.into()),
+        ));
+    }
+    Workload::merge(parts)
+}
+
+/// Asserts that a configuration ran byte-identically under the
+/// sequential and the parallel executor: routing, scale decisions, the
+/// merged report and fleet accounting. The canonical report leaves out
+/// only the pool's own counters, and `faults` rides inside it, so fault
+/// and recovery accounting is covered too.
+///
+/// # Panics
+///
+/// Panics on the first divergence, naming `label`.
+pub(crate) fn assert_executor_invariant(seq: &ClusterOutcome, par: &ClusterOutcome, label: &str) {
+    assert_eq!(
+        seq.assignments, par.assignments,
+        "{label}: assignment divergence across executors"
+    );
+    assert_eq!(
+        seq.scale_events, par.scale_events,
+        "{label}: scale-decision divergence across executors"
+    );
+    assert_eq!(
+        seq.merged.digest(),
+        par.merged.digest(),
+        "{label}: merged-report divergence across executors"
+    );
+    assert_eq!(
+        seq.fleet, par.fleet,
+        "{label}: fleet-accounting divergence across executors"
+    );
 }
 
 /// Asserts that `doc` carries every key in `keys`; `at` names the

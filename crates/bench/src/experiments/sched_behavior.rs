@@ -1,6 +1,6 @@
 //! Scheduler-behaviour experiments: Figures 18, 19, 20, 22, and 23.
 
-use tokenflow_core::{run_simulation, EngineConfig};
+use tokenflow_core::{Engine, EngineConfig};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::{TokenFlowParams, TokenFlowScheduler};
 use tokenflow_sim::{SimDuration, SimTime};
@@ -172,11 +172,7 @@ pub fn fig22() -> String {
             ..TokenFlowParams::default()
         };
         let cfg = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090());
-        let out = run_simulation(
-            cfg,
-            Box::new(TokenFlowScheduler::with_params(params)),
-            &workload,
-        );
+        let out = Engine::new(cfg, TokenFlowScheduler::with_params(params)).run(&workload);
         t.row(vec![
             f(half_ms as f64 / 1_000.0, 1),
             f(out.report.effective_throughput, 1),
@@ -222,11 +218,7 @@ pub fn fig23() -> String {
             buffer_conservativeness: mu,
             ..TokenFlowParams::default()
         };
-        let out = run_simulation(
-            cfg(),
-            Box::new(TokenFlowScheduler::with_params(params)),
-            &workload,
-        );
+        let out = Engine::new(cfg(), TokenFlowScheduler::with_params(params)).run(&workload);
         t.row(vec![
             format!("TokenFlow μ={mu}"),
             f(out.report.effective_throughput, 1),

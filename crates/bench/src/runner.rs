@@ -1,6 +1,6 @@
 //! Shared experiment-running utilities.
 
-use tokenflow_core::{run_simulation_boxed, EngineConfig, SimOutcome};
+use tokenflow_core::{Engine, EngineConfig, SimOutcome};
 use tokenflow_scenario::{json::Json, scheduler_from_json};
 use tokenflow_sched::Scheduler;
 use tokenflow_workload::Workload;
@@ -25,7 +25,7 @@ pub fn make_scheduler(which: &str) -> Box<dyn Scheduler> {
 
 /// Runs one (config, scheduler, workload) cell.
 pub fn run_cell(config: EngineConfig, which: &str, workload: &Workload) -> SimOutcome {
-    run_simulation_boxed(config, make_scheduler(which), workload)
+    Engine::from_boxed(config, make_scheduler(which)).run(workload)
 }
 
 /// Runs all four systems on a workload and renders the standard

@@ -248,7 +248,11 @@ impl ClusterEngine {
     /// current fleet (all active) observes every arrival barrier and
     /// resizes the replica set through `policy` — provisioning new
     /// engines after `control.boot_delay`, draining and retiring surplus
-    /// ones. Call before running.
+    /// ones. When `control` enables a
+    /// [`control_tick`](tokenflow_control::ControlConfig::control_tick),
+    /// synthetic barriers at that interval keep the plane observing (and
+    /// retiring drained replicas) through arrival gaps. Call before
+    /// running.
     ///
     /// # Panics
     ///
@@ -277,8 +281,12 @@ impl ClusterEngine {
     /// plan's [`RetryPolicy`](tokenflow_fault::RetryPolicy) governs how
     /// requests lost to crashes are re-queued. An **empty** plan is
     /// treated exactly like no plan at all, so a fault-free plan cannot
-    /// perturb a single byte of any outcome. Call before running (in any
-    /// order with [`with_autoscaler`](ClusterEngine::with_autoscaler)).
+    /// perturb a single byte of any outcome. On an elastic cluster,
+    /// crashed capacity reads as demand pressure at the next barrier (the
+    /// re-queued residents join the plane's arrival group), so crash-aware
+    /// scale policies see losses without any side channel. Call before
+    /// running (in any order with
+    /// [`with_autoscaler`](ClusterEngine::with_autoscaler)).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         if plan.is_empty() {
             return self;
@@ -842,6 +850,16 @@ impl ClusterEngine {
         self.pending.is_empty() && self.done.iter().all(|&d| d)
     }
 
+    /// Runs a whole workload through this cluster: submits it, runs
+    /// epochs to completion, and finalises — the cluster counterpart of
+    /// [`Engine::run`]. The execution strategy never changes results;
+    /// scale decisions, faults and recovery included.
+    pub fn run(mut self, workload: &Workload) -> ClusterOutcome {
+        self.submit_workload(workload);
+        self.run_to_completion();
+        self.into_outcome()
+    }
+
     /// Finalises every replica and returns per-replica plus merged
     /// results, consuming the cluster.
     pub fn into_outcome(mut self) -> ClusterOutcome {
@@ -1018,118 +1036,3 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ClusterEngine>()
 };
-
-/// Runs a whole workload through a fresh cluster: the one-call entry
-/// point mirroring [`tokenflow_core::run_simulation`]. Uses sequential
-/// epoch execution; see [`run_cluster_with`] to pick a strategy.
-pub fn run_cluster(
-    config: EngineConfig,
-    replicas: usize,
-    router: impl Router + 'static,
-    scheduler_factory: impl FnMut() -> Box<dyn Scheduler> + Send + 'static,
-    workload: &Workload,
-) -> ClusterOutcome {
-    run_cluster_with(
-        config,
-        replicas,
-        router,
-        scheduler_factory,
-        workload,
-        Execution::Sequential,
-    )
-}
-
-/// [`run_cluster`] with an explicit [`Execution`] strategy. The strategy
-/// never changes results — only the wall-clock cost of simulating many
-/// replicas.
-pub fn run_cluster_with(
-    config: EngineConfig,
-    replicas: usize,
-    router: impl Router + 'static,
-    scheduler_factory: impl FnMut() -> Box<dyn Scheduler> + Send + 'static,
-    workload: &Workload,
-    execution: Execution,
-) -> ClusterOutcome {
-    let mut cluster =
-        ClusterEngine::new(config, replicas, router, scheduler_factory).with_execution(execution);
-    cluster.submit_workload(workload);
-    cluster.run_to_completion();
-    cluster.into_outcome()
-}
-
-/// [`run_cluster_with`] under a deterministic [`FaultPlan`]: replica
-/// crashes, stragglers, and KV-link faults fire at barrier-aligned
-/// instants, and lost requests recover through the plan's retry policy.
-/// An empty plan reproduces [`run_cluster_with`] byte for byte. The
-/// execution strategy never changes results — faults and recovery
-/// included.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cluster_faulty(
-    config: EngineConfig,
-    replicas: usize,
-    router: impl Router + 'static,
-    scheduler_factory: impl FnMut() -> Box<dyn Scheduler> + Send + 'static,
-    plan: FaultPlan,
-    workload: &Workload,
-    execution: Execution,
-) -> ClusterOutcome {
-    let mut cluster = ClusterEngine::new(config, replicas, router, scheduler_factory)
-        .with_fault_plan(plan)
-        .with_execution(execution);
-    cluster.submit_workload(workload);
-    cluster.run_to_completion();
-    cluster.into_outcome()
-}
-
-/// [`run_autoscaled`] under a deterministic [`FaultPlan`]. Crashed
-/// capacity reads as demand pressure at the next barrier (the re-queued
-/// residents join the plane's arrival group), so crash-aware scale
-/// policies see losses without any side channel. An empty plan
-/// reproduces [`run_autoscaled`] byte for byte.
-#[allow(clippy::too_many_arguments)]
-pub fn run_autoscaled_faulty(
-    config: EngineConfig,
-    bootstrap: usize,
-    router: impl Router + 'static,
-    scheduler_factory: impl FnMut() -> Box<dyn Scheduler> + Send + 'static,
-    policy: impl ScalePolicy + 'static,
-    control: ControlConfig,
-    plan: FaultPlan,
-    workload: &Workload,
-    execution: Execution,
-) -> ClusterOutcome {
-    let mut cluster = ClusterEngine::new(config, bootstrap, router, scheduler_factory)
-        .with_autoscaler(policy, control)
-        .with_fault_plan(plan)
-        .with_execution(execution);
-    cluster.submit_workload(workload);
-    cluster.run_to_completion();
-    cluster.into_outcome()
-}
-
-/// Runs a whole workload through a fresh **elastic** cluster:
-/// `bootstrap` replicas are live at time zero and `policy` resizes the
-/// fleet at every arrival barrier within `control`'s bounds. When
-/// `control` enables a
-/// [`control_tick`](tokenflow_control::ControlConfig::control_tick),
-/// synthetic barriers at that interval keep the plane observing (and
-/// retiring drained replicas) through arrival gaps. The execution
-/// strategy never changes results — scale decisions included.
-#[allow(clippy::too_many_arguments)]
-pub fn run_autoscaled(
-    config: EngineConfig,
-    bootstrap: usize,
-    router: impl Router + 'static,
-    scheduler_factory: impl FnMut() -> Box<dyn Scheduler> + Send + 'static,
-    policy: impl ScalePolicy + 'static,
-    control: ControlConfig,
-    workload: &Workload,
-    execution: Execution,
-) -> ClusterOutcome {
-    let mut cluster = ClusterEngine::new(config, bootstrap, router, scheduler_factory)
-        .with_autoscaler(policy, control)
-        .with_execution(execution);
-    cluster.submit_workload(workload);
-    cluster.run_to_completion();
-    cluster.into_outcome()
-}

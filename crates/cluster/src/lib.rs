@@ -24,10 +24,12 @@
 //! * Elasticity plugs in through `tokenflow-control`: a
 //!   [`ScalePolicy`](tokenflow_control::ScalePolicy) consulted at every
 //!   barrier drives the `Provisioning → Active → Draining → Retired`
-//!   replica lifecycle ([`ClusterEngine::with_autoscaler`],
-//!   [`run_autoscaled`]). Routers only ever see the active mask;
-//!   draining replicas finish their residents and drop out of epoch
-//!   stepping once empty.
+//!   replica lifecycle ([`ClusterEngine::with_autoscaler`]). Routers
+//!   only ever see the active mask; draining replicas finish their
+//!   residents and drop out of epoch stepping once empty.
+//! * [`ClusterEngine::run`] serves a whole workload through whatever
+//!   the builder chain assembled (static or elastic, with or without a
+//!   fault plan, on either executor).
 //! * [`executor`] / [`pool`] — where epochs run: [`Execution::Sequential`]
 //!   walks the replicas on the coordinator thread;
 //!   [`Execution::Parallel`] feeds busy replicas to a persistent,
@@ -53,10 +55,7 @@ pub mod executor;
 pub mod pool;
 pub mod router;
 
-pub use cluster::{
-    run_autoscaled, run_autoscaled_faulty, run_cluster, run_cluster_faulty, run_cluster_with,
-    Assignment, ClusterEngine, ClusterOutcome,
-};
+pub use cluster::{Assignment, ClusterEngine, ClusterOutcome};
 pub use executor::{Execution, ExecutorStats};
 pub use pool::WorkerPool;
 pub use router::{
@@ -93,13 +92,10 @@ mod tests {
     #[test]
     fn cluster_completes_and_conserves_requests() {
         let w = burst(24, 120);
-        let out = run_cluster(
-            config(),
-            3,
-            LeastLoadedRouter::new(),
-            || Box::new(TokenFlowScheduler::new()),
-            &w,
-        );
+        let out = ClusterEngine::new(config(), 3, LeastLoadedRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .run(&w);
         assert!(out.complete);
         assert_eq!(out.assignments.len(), 24);
         assert_eq!(out.merged.submitted, 24);
@@ -114,13 +110,10 @@ mod tests {
     fn cluster_runs_are_deterministic() {
         let w = burst(16, 100);
         let run = || {
-            run_cluster(
-                config(),
-                2,
-                RateAwareRouter::new(),
-                || Box::new(TokenFlowScheduler::new()),
-                &w,
-            )
+            ClusterEngine::new(config(), 2, RateAwareRouter::new(), || {
+                Box::new(TokenFlowScheduler::new())
+            })
+            .run(&w)
         };
         let a = run();
         let b = run();
@@ -137,20 +130,14 @@ mod tests {
         // The TokenScale-style motivation: a flash crowd that saturates
         // one replica spreads across four.
         let w = burst(32, 150);
-        let solo = run_cluster(
-            config(),
-            1,
-            LeastLoadedRouter::new(),
-            || Box::new(FcfsScheduler::new()),
-            &w,
-        );
-        let quad = run_cluster(
-            config(),
-            4,
-            LeastLoadedRouter::new(),
-            || Box::new(FcfsScheduler::new()),
-            &w,
-        );
+        let solo = ClusterEngine::new(config(), 1, LeastLoadedRouter::new(), || {
+            Box::new(FcfsScheduler::new())
+        })
+        .run(&w);
+        let quad = ClusterEngine::new(config(), 4, LeastLoadedRouter::new(), || {
+            Box::new(FcfsScheduler::new())
+        })
+        .run(&w);
         assert!(solo.complete && quad.complete);
         assert_eq!(solo.merged.completed, 32);
         assert_eq!(quad.merged.completed, 32);
@@ -182,13 +169,10 @@ mod tests {
             output_tokens: 40,
             rate: 20.0,
         }));
-        let out = run_cluster(
-            config(),
-            2,
-            RoundRobinRouter::new(),
-            || Box::new(FcfsScheduler::new()),
-            &Workload::new(specs),
-        );
+        let out = ClusterEngine::new(config(), 2, RoundRobinRouter::new(), || {
+            Box::new(FcfsScheduler::new())
+        })
+        .run(&Workload::new(specs));
         assert!(out.complete);
         assert_eq!(out.merged.completed, 8);
         // Second-wave TTFTs are measured from their own arrivals, so the

@@ -10,9 +10,7 @@
 //! matter most: a draining replica never receives a dispatch, and a
 //! provisioning replica receives nothing before its boot delay elapses.
 
-use tokenflow_cluster::{
-    run_autoscaled, run_autoscaled_faulty, ClusterOutcome, Execution, LeastLoadedRouter,
-};
+use tokenflow_cluster::{ClusterEngine, ClusterOutcome, Execution, LeastLoadedRouter};
 use tokenflow_control::{
     ControlConfig, PredictivePolicy, ReactivePolicy, ScaleEventKind, ScalePolicy, ScriptedPolicy,
 };
@@ -64,16 +62,12 @@ fn policy(which: &str) -> Box<dyn ScalePolicy> {
 const POLICIES: [&str; 3] = ["reactive", "predictive-ewma", "scripted"];
 
 fn run(w: &Workload, which: &str, execution: Execution) -> ClusterOutcome {
-    run_autoscaled(
-        config(),
-        2,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        policy(which),
-        control(300.0),
-        w,
-        execution,
-    )
+    ClusterEngine::new(config(), 2, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_autoscaler(policy(which), control(300.0))
+    .with_execution(execution)
+    .run(w)
 }
 
 fn assert_byte_identical(a: &ClusterOutcome, b: &ClusterOutcome, label: &str) {
@@ -178,16 +172,14 @@ fn draining_replica_never_receives_a_dispatch() {
         rate: 20.0,
     }));
     let w = Workload::new(specs);
-    let out = run_autoscaled(
-        config(),
-        3,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
+    let out = ClusterEngine::new(config(), 3, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_autoscaler(
         ScriptedPolicy::new(vec![(SimTime::from_secs(10), 1)]),
         control(300.0).with_min_replicas(1).with_max_replicas(3),
-        &w,
-        Execution::Sequential,
-    );
+    )
+    .run(&w);
     assert!(out.complete);
     // The script never scales back up, so a drained replica stays out of
     // the active set forever: collect the drain instants per replica.
@@ -234,16 +226,14 @@ fn provisioning_replica_receives_nothing_before_its_boot_delay() {
         .collect();
     let w = Workload::new(specs);
     let boot = SimDuration::from_secs(5);
-    let out = run_autoscaled(
-        config(),
-        1,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
+    let out = ClusterEngine::new(config(), 1, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_autoscaler(
         ScriptedPolicy::new(vec![(SimTime::ZERO, 3)]),
         control(300.0).with_max_replicas(3).with_boot_delay(boot),
-        &w,
-        Execution::Sequential,
-    );
+    )
+    .run(&w);
     assert!(out.complete);
     let ready = SimTime::ZERO + boot;
     for (spec, assignment) in w.iter().zip(&out.assignments) {
@@ -291,16 +281,14 @@ fn post_deadline_arrivals_do_not_inflate_the_bill() {
         output_tokens: 20,
         rate: 20.0,
     });
-    let out = run_autoscaled(
-        cfg,
-        2,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
+    let out = ClusterEngine::new(cfg, 2, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_autoscaler(
         ReactivePolicy::new(),
         control(300.0).with_min_replicas(2).with_max_replicas(4),
-        &Workload::new(specs),
-        Execution::Sequential,
-    );
+    )
+    .run(&Workload::new(specs));
     assert!(!out.complete);
     assert_eq!(out.assignments.len(), 4);
     let dur = out.merged.duration.as_secs_f64();
@@ -334,16 +322,12 @@ fn control_tick_retires_idle_drain_within_one_tick() {
     let w = Workload::new(specs);
     let tick = SimDuration::from_secs(1);
     let run_with = |control: ControlConfig, execution: Execution| {
-        run_autoscaled(
-            config(),
-            2,
-            LeastLoadedRouter::new(),
-            || Box::new(TokenFlowScheduler::new()),
-            ScriptedPolicy::new(vec![(SimTime::ZERO, 1)]),
-            control,
-            &w,
-            execution,
-        )
+        ClusterEngine::new(config(), 2, LeastLoadedRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .with_autoscaler(ScriptedPolicy::new(vec![(SimTime::ZERO, 1)]), control)
+        .with_execution(execution)
+        .run(&w)
     };
     let base = control(300.0).with_min_replicas(1).with_max_replicas(2);
     let ticked = run_with(base.clone().with_control_tick(tick), Execution::Sequential);
@@ -423,19 +407,17 @@ fn crashed_draining_replica_retires_immediately_and_residents_recover() {
         }],
         ..FaultPlan::default()
     };
-    let out = run_autoscaled_faulty(
-        config(),
-        3,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
+    let out = ClusterEngine::new(config(), 3, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_autoscaler(
         ScriptedPolicy::new(vec![(SimTime::from_secs(2), 1)]),
         control(300.0)
             .with_max_replicas(3)
             .with_control_tick(SimDuration::from_secs(1)),
-        plan,
-        &w,
-        Execution::Sequential,
-    );
+    )
+    .with_fault_plan(plan)
+    .run(&w);
     assert!(out.complete, "recovery must finish the run");
     let events_for = |replica: usize| -> Vec<ScaleEventKind> {
         out.scale_events
@@ -491,13 +473,10 @@ fn crashed_draining_replica_retires_immediately_and_residents_recover() {
 #[test]
 fn static_cluster_outcome_reports_no_fleet_and_full_bill() {
     let w = stress_workload();
-    let out = tokenflow_cluster::run_cluster(
-        config(),
-        3,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        &w,
-    );
+    let out = ClusterEngine::new(config(), 3, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .run(&w);
     assert!(out.fleet.is_none());
     assert!(out.scale_events.is_empty());
     assert_eq!(out.policy, None);

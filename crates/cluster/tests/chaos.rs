@@ -18,8 +18,7 @@
 //!    from no plan at all, byte for byte.
 
 use tokenflow_cluster::{
-    run_autoscaled, run_autoscaled_faulty, run_cluster_faulty, run_cluster_with, ClusterOutcome,
-    Execution, LeastLoadedRouter, RoundRobinRouter,
+    ClusterEngine, ClusterOutcome, Execution, LeastLoadedRouter, RoundRobinRouter,
 };
 use tokenflow_control::{ControlConfig, ReactivePolicy};
 use tokenflow_core::EngineConfig;
@@ -194,15 +193,12 @@ fn randomized_fault_plans_conserve_and_stay_executor_invariant_static() {
         let outcomes: Vec<ClusterOutcome> = EXECUTIONS
             .iter()
             .map(|exec| {
-                run_cluster_faulty(
-                    config(),
-                    replicas,
-                    LeastLoadedRouter::new(),
-                    || Box::new(TokenFlowScheduler::new()),
-                    p.clone(),
-                    &w,
-                    exec(),
-                )
+                ClusterEngine::new(config(), replicas, LeastLoadedRouter::new(), || {
+                    Box::new(TokenFlowScheduler::new())
+                })
+                .with_fault_plan(p.clone())
+                .with_execution(exec())
+                .run(&w)
             })
             .collect();
         assert_conservation(&outcomes[0], w.len(), &format!("static seed {seed}"));
@@ -234,17 +230,13 @@ fn randomized_fault_plans_conserve_and_stay_executor_invariant_elastic() {
         let outcomes: Vec<ClusterOutcome> = EXECUTIONS
             .iter()
             .map(|exec| {
-                run_autoscaled_faulty(
-                    config(),
-                    2,
-                    LeastLoadedRouter::new(),
-                    || Box::new(TokenFlowScheduler::new()),
-                    ReactivePolicy::new(),
-                    control.clone(),
-                    p.clone(),
-                    &w,
-                    exec(),
-                )
+                ClusterEngine::new(config(), 2, LeastLoadedRouter::new(), || {
+                    Box::new(TokenFlowScheduler::new())
+                })
+                .with_autoscaler(ReactivePolicy::new(), control.clone())
+                .with_fault_plan(p.clone())
+                .with_execution(exec())
+                .run(&w)
             })
             .collect();
         assert_conservation(&outcomes[0], w.len(), &format!("elastic seed {seed}"));
@@ -278,15 +270,11 @@ fn crash_lost_requests_recover_elsewhere() {
         }],
         ..FaultPlan::default()
     };
-    let out = run_cluster_faulty(
-        config(),
-        2,
-        RoundRobinRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        p,
-        &w,
-        Execution::Sequential,
-    );
+    let out = ClusterEngine::new(config(), 2, RoundRobinRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_fault_plan(p)
+    .run(&w);
     assert!(out.complete, "recovery must finish the run");
     let faults = out.merged.faults.as_ref().expect("fault stats present");
     assert_eq!(faults.crashes, 1);
@@ -338,15 +326,11 @@ fn crashing_every_replica_abandons_residents_and_sheds_arrivals() {
         },
         ..FaultPlan::default()
     };
-    let out = run_cluster_faulty(
-        config(),
-        2,
-        RoundRobinRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        p,
-        &w,
-        Execution::Sequential,
-    );
+    let out = ClusterEngine::new(config(), 2, RoundRobinRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_fault_plan(p)
+    .run(&w);
     let faults = out.merged.faults.as_ref().expect("fault stats present");
     assert_eq!(faults.crashes, 2);
     assert_eq!(faults.recovered, 0, "no capacity left to recover on");
@@ -364,14 +348,10 @@ fn crashing_every_replica_abandons_residents_and_sheds_arrivals() {
 fn stragglers_stretch_the_tail_but_change_no_accounting() {
     let mut rng = Lcg(77);
     let w = workload(&mut rng, 40);
-    let healthy = run_cluster_with(
-        config(),
-        2,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        &w,
-        Execution::Sequential,
-    );
+    let healthy = ClusterEngine::new(config(), 2, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .run(&w);
     let p = FaultPlan {
         stragglers: vec![WindowFault {
             replica: 0,
@@ -381,15 +361,11 @@ fn stragglers_stretch_the_tail_but_change_no_accounting() {
         }],
         ..FaultPlan::default()
     };
-    let degraded = run_cluster_faulty(
-        config(),
-        2,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        p,
-        &w,
-        Execution::Sequential,
-    );
+    let degraded = ClusterEngine::new(config(), 2, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_fault_plan(p)
+    .run(&w);
     assert!(healthy.complete && degraded.complete);
     assert_eq!(degraded.merged.completed, w.len());
     let faults = degraded.merged.faults.as_ref().expect("fault stats");
@@ -408,23 +384,17 @@ fn stragglers_stretch_the_tail_but_change_no_accounting() {
 fn empty_fault_plan_is_byte_identical_to_no_plan() {
     let mut rng = Lcg(123);
     let w = workload(&mut rng, 48);
-    let plain = run_cluster_with(
-        config(),
-        3,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        &w,
-        Execution::parallel(2),
-    );
-    let faulty = run_cluster_faulty(
-        config(),
-        3,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        FaultPlan::default(),
-        &w,
-        Execution::parallel(2),
-    );
+    let plain = ClusterEngine::new(config(), 3, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_execution(Execution::parallel(2))
+    .run(&w);
+    let faulty = ClusterEngine::new(config(), 3, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_fault_plan(FaultPlan::default())
+    .with_execution(Execution::parallel(2))
+    .run(&w);
     assert_byte_identical(&plain, &faulty, "empty plan vs none");
     assert!(
         faulty.merged.faults.is_none(),
@@ -442,27 +412,17 @@ fn empty_fault_plan_is_byte_identical_to_no_plan() {
         .with_min_replicas(1)
         .with_max_replicas(4)
         .with_cooldown(SimDuration::ZERO);
-    let plain = run_autoscaled(
-        config(),
-        2,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        ReactivePolicy::new(),
-        control.clone(),
-        &w,
-        Execution::Sequential,
-    );
-    let faulty = run_autoscaled_faulty(
-        config(),
-        2,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        ReactivePolicy::new(),
-        control,
-        FaultPlan::default(),
-        &w,
-        Execution::Sequential,
-    );
+    let plain = ClusterEngine::new(config(), 2, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_autoscaler(ReactivePolicy::new(), control.clone())
+    .run(&w);
+    let faulty = ClusterEngine::new(config(), 2, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_autoscaler(ReactivePolicy::new(), control)
+    .with_fault_plan(FaultPlan::default())
+    .run(&w);
     assert_byte_identical(&plain, &faulty, "empty plan vs none (elastic)");
     assert_eq!(plain.fleet, faulty.fleet);
 }
@@ -486,15 +446,11 @@ fn shed_mode_rejects_pressure_and_recovers_admission() {
         shed_utilization: Some(0.5),
         ..FaultPlan::default()
     };
-    let out = run_cluster_faulty(
-        config(),
-        2,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        p,
-        &w,
-        Execution::Sequential,
-    );
+    let out = ClusterEngine::new(config(), 2, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_fault_plan(p)
+    .run(&w);
     assert!(out.complete);
     let faults = out.merged.faults.as_ref().expect("fault stats");
     assert!(faults.shed > 0, "threshold 0.5 must shed under this burst");

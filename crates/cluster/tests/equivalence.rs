@@ -12,7 +12,7 @@
 //! an `f64` fails the suite.
 
 use tokenflow_cluster::{
-    run_cluster_with, BacklogAwareRouter, ClusterOutcome, Execution, LeastLoadedRouter,
+    BacklogAwareRouter, ClusterEngine, ClusterOutcome, Execution, LeastLoadedRouter,
     RateAwareRouter, RoundRobinRouter, Router,
 };
 use tokenflow_core::EngineConfig;
@@ -107,14 +107,9 @@ fn run(
     scheduler: fn() -> Box<dyn Scheduler>,
     execution: Execution,
 ) -> ClusterOutcome {
-    run_cluster_with(
-        config(),
-        replicas,
-        router(which),
-        scheduler,
-        workload,
-        execution,
-    )
+    ClusterEngine::new(config(), replicas, router(which), scheduler)
+        .with_execution(execution)
+        .run(workload)
 }
 
 #[test]

@@ -4,9 +4,7 @@
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 
-use tokenflow_cluster::{
-    run_cluster_with, ClusterEngine, ClusterOutcome, Execution, RoundRobinRouter,
-};
+use tokenflow_cluster::{ClusterEngine, ClusterOutcome, Execution, RoundRobinRouter};
 use tokenflow_core::EngineConfig;
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::{FcfsScheduler, SchedContext, SchedPlan, Scheduler, TokenFlowScheduler};
@@ -68,14 +66,11 @@ fn skewed_workload(replicas: usize, rounds: usize) -> Workload {
 fn skewed_replicas_are_byte_identical_across_all_strategies() {
     let workload = skewed_workload(4, 20);
     let run = |execution| {
-        run_cluster_with(
-            config(),
-            4,
-            RoundRobinRouter::new(),
-            || Box::new(TokenFlowScheduler::new()),
-            &workload,
-            execution,
-        )
+        ClusterEngine::new(config(), 4, RoundRobinRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .with_execution(execution)
+        .run(&workload)
     };
     let sequential = run(Execution::Sequential);
     let pooled = run(Execution::parallel(3));
@@ -142,19 +137,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 fn run_panicking(execution: Execution) -> String {
     let workload = skewed_workload(4, 6);
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        run_cluster_with(
-            config(),
-            4,
-            RoundRobinRouter::new(),
-            || {
-                Box::new(PanicAfter {
-                    inner: FcfsScheduler::new(),
-                    remaining: 5,
-                })
-            },
-            &workload,
-            execution,
-        )
+        ClusterEngine::new(config(), 4, RoundRobinRouter::new(), || {
+            Box::new(PanicAfter {
+                inner: FcfsScheduler::new(),
+                remaining: 5,
+            })
+        })
+        .with_execution(execution)
+        .run(&workload)
     }));
     let payload = result.expect_err("a panicking scheduler must fail the run");
     panic_message(payload.as_ref()).to_string()

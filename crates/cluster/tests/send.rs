@@ -8,8 +8,7 @@
 //! the regression shows up long before any test runs.
 
 use tokenflow_cluster::{
-    run_cluster_with, ClusterEngine, Execution, LeastLoadedRouter, RateAwareRouter,
-    RoundRobinRouter, Router,
+    ClusterEngine, Execution, LeastLoadedRouter, RateAwareRouter, RoundRobinRouter, Router,
 };
 use tokenflow_core::{Engine, EngineConfig};
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -55,14 +54,11 @@ fn parallel_one_equals_sequential() {
     let config =
         EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090()).with_max_batch(16);
     let run = |execution: Execution| {
-        run_cluster_with(
-            config.clone(),
-            3,
-            LeastLoadedRouter::new(),
-            || Box::new(TokenFlowScheduler::new()),
-            &w,
-            execution,
-        )
+        ClusterEngine::new(config.clone(), 3, LeastLoadedRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .with_execution(execution)
+        .run(&w)
     };
     let sequential = run(Execution::Sequential);
     let parallel_one = run(Execution::parallel(1));

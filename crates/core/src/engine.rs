@@ -23,7 +23,7 @@ use tokenflow_model::CostModel;
 use tokenflow_sched::{PlanNote, SchedContext, SchedContextBuilder, Scheduler};
 use tokenflow_sim::{Clock, EventQueue, RequestId, SimDuration, SimTime};
 use tokenflow_trace::{HorizonEndReason, TraceEventKind, TraceSink, TraceSource};
-use tokenflow_workload::{ClientKind, RequestSpec};
+use tokenflow_workload::{ClientKind, RequestSpec, Workload};
 
 use crate::batch::IterationBatch;
 use crate::config::EngineConfig;
@@ -865,6 +865,37 @@ impl Engine {
                 return Completion::IterationCap;
             }
         }
+    }
+
+    /// Runs a complete workload through the engine and collects every
+    /// metric: submits every spec, runs to completion, and finalises.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tokenflow_core::{Engine, EngineConfig};
+    /// use tokenflow_model::{HardwareProfile, ModelProfile};
+    /// use tokenflow_sched::FcfsScheduler;
+    /// use tokenflow_sim::{RequestId, SimTime};
+    /// use tokenflow_workload::{RequestSpec, Workload};
+    ///
+    /// let workload = Workload::new(vec![RequestSpec {
+    ///     id: RequestId(0),
+    ///     arrival: SimTime::ZERO,
+    ///     prompt_tokens: 128,
+    ///     output_tokens: 64,
+    ///     rate: 20.0,
+    /// }]);
+    /// let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200());
+    /// let outcome = Engine::new(config, FcfsScheduler::new()).run(&workload);
+    /// assert_eq!(outcome.report.completed, 1);
+    /// ```
+    pub fn run(mut self, workload: &Workload) -> SimOutcome {
+        for spec in workload.iter() {
+            self.submit(*spec);
+        }
+        self.run_to_completion();
+        self.into_outcome()
     }
 
     /// Sets the compute slowdown multiplier (`1.0` restores full speed).

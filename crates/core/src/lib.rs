@@ -27,7 +27,7 @@
 //! TokenFlow) run through this same loop; only the scheduler differs —
 //! exactly the controlled comparison the paper's evaluation performs.
 //!
-//! Use [`run_simulation`] for one-call experiment runs, or drive an
+//! Use [`Engine::run`] for one-call experiment runs, or drive an
 //! [`Engine`] step by step for interactive use (see the `quickstart`
 //! example).
 
@@ -48,54 +48,3 @@ pub use config::EngineConfig;
 pub use engine::{Completion, Engine, FastPathStats, StepOutcome};
 pub use outcome::SimOutcome;
 pub use state::EngineLoad;
-
-use tokenflow_sched::Scheduler;
-use tokenflow_workload::Workload;
-
-/// Runs a complete workload through the engine and collects every metric.
-///
-/// Takes any scheduler by value — a concrete policy or an already-boxed
-/// `Box<dyn Scheduler>` (boxes of schedulers are schedulers).
-///
-/// # Examples
-///
-/// ```
-/// use tokenflow_core::{run_simulation, EngineConfig};
-/// use tokenflow_model::{HardwareProfile, ModelProfile};
-/// use tokenflow_sched::FcfsScheduler;
-/// use tokenflow_sim::{RequestId, SimTime};
-/// use tokenflow_workload::{RequestSpec, Workload};
-///
-/// let workload = Workload::new(vec![RequestSpec {
-///     id: RequestId(0),
-///     arrival: SimTime::ZERO,
-///     prompt_tokens: 128,
-///     output_tokens: 64,
-///     rate: 20.0,
-/// }]);
-/// let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200());
-/// let outcome = run_simulation(config, FcfsScheduler::new(), &workload);
-/// assert_eq!(outcome.report.completed, 1);
-/// ```
-pub fn run_simulation(
-    config: EngineConfig,
-    scheduler: impl Scheduler + 'static,
-    workload: &Workload,
-) -> SimOutcome {
-    run_simulation_boxed(config, Box::new(scheduler), workload)
-}
-
-/// [`run_simulation`] for callers that already hold a boxed scheduler
-/// (factories, registries): skips the re-box and its extra dispatch hop.
-pub fn run_simulation_boxed(
-    config: EngineConfig,
-    scheduler: Box<dyn Scheduler>,
-    workload: &Workload,
-) -> SimOutcome {
-    let mut engine = Engine::from_boxed(config, scheduler);
-    for spec in workload.iter() {
-        engine.submit(*spec);
-    }
-    engine.run_to_completion();
-    engine.into_outcome()
-}

@@ -9,13 +9,13 @@
 //! to a [`RunOutcome`] with the report, its digest, and run metadata.
 
 use tokenflow_cluster::{
-    run_autoscaled, run_autoscaled_faulty, run_cluster_faulty, run_cluster_with,
-    BacklogAwareRouter, Execution, LeastLoadedRouter, RateAwareRouter, RoundRobinRouter, Router,
+    BacklogAwareRouter, ClusterEngine, Execution, LeastLoadedRouter, RateAwareRouter,
+    RoundRobinRouter, Router,
 };
 use tokenflow_control::{
     ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy, ScriptedPolicy,
 };
-use tokenflow_core::{run_simulation_boxed, Completion, EngineConfig};
+use tokenflow_core::{Completion, Engine, EngineConfig};
 use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy, WindowFault};
 use tokenflow_metrics::RunReport;
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -369,6 +369,14 @@ impl ScenarioSpec {
         let hardware = HardwareProfile::by_name(&self.hardware)
             .ok_or_else(|| build_err(format!("unknown hardware {}", self.hardware)))?;
         let config = self.engine.build_config(model, hardware);
+        // The engine's own fit condition: less than one KV block of GPU
+        // memory left after the weights.
+        if config.gpu_kv_tokens() < config.block_tokens as u64 {
+            return Err(build_err(format!(
+                "model {} does not fit on {} at mem_frac {}: no GPU memory left for the KV cache",
+                self.model, self.hardware, self.engine.mem_frac
+            )));
+        }
         let workload = self.workload.build_workload()?;
         Ok(Harness {
             name: self.name.clone(),
@@ -405,17 +413,11 @@ impl Harness {
     pub fn run(self) -> RunOutcome {
         let scheduler_spec = self.scheduler;
         let scheduler_name = scheduler_spec.build_scheduler().name().to_string();
-        // Empty plans take the fault-free entry points, which are
-        // byte-identical anyway — this just keeps the common path common.
-        let fault = self.fault.filter(|p| !p.is_empty());
-        match self.topology {
+        let (cluster, topology, execution) = match self.topology {
             TopologySpec::Single => {
-                let out = run_simulation_boxed(
-                    self.config,
-                    scheduler_spec.build_scheduler(),
-                    &self.workload,
-                );
-                RunOutcome {
+                let out = Engine::from_boxed(self.config, scheduler_spec.build_scheduler())
+                    .run(&self.workload);
+                return RunOutcome {
                     scenario: self.name,
                     topology: "single".to_string(),
                     scheduler: scheduler_name,
@@ -427,47 +429,22 @@ impl Harness {
                     completion: out.completion,
                     report: out.report,
                     trace: out.trace,
-                }
+                };
             }
             TopologySpec::Cluster {
                 replicas,
                 router,
                 execution,
-            } => {
-                let execution = execution.build_execution();
-                let out = match fault {
-                    Some(plan) => run_cluster_faulty(
-                        self.config,
-                        replicas as usize,
-                        router.build_router(),
-                        move || scheduler_spec.build_scheduler(),
-                        plan,
-                        &self.workload,
-                        execution,
-                    ),
-                    None => run_cluster_with(
-                        self.config,
-                        replicas as usize,
-                        router.build_router(),
-                        move || scheduler_spec.build_scheduler(),
-                        &self.workload,
-                        execution,
-                    ),
-                };
-                RunOutcome {
-                    scenario: self.name,
-                    topology: format!("cluster({replicas})"),
-                    scheduler: scheduler_name,
-                    router: Some(out.router.clone()),
-                    scale_policy: None,
-                    replicas: out.replicas.len(),
-                    scale_events: 0,
-                    complete: out.complete,
-                    completion: completion_of(out.complete),
-                    report: out.merged,
-                    trace: out.trace,
-                }
-            }
+            } => (
+                ClusterEngine::new(
+                    self.config,
+                    replicas as usize,
+                    router.build_router(),
+                    move || scheduler_spec.build_scheduler(),
+                ),
+                format!("cluster({replicas})"),
+                execution,
+            ),
             TopologySpec::Autoscaled {
                 bootstrap,
                 router,
@@ -476,44 +453,39 @@ impl Harness {
                 execution,
             } => {
                 let control_config = control.build_control(&self.config);
-                let execution = execution.build_execution();
-                let out = match fault {
-                    Some(plan) => run_autoscaled_faulty(
+                (
+                    ClusterEngine::new(
                         self.config,
                         bootstrap as usize,
                         router.build_router(),
                         move || scheduler_spec.build_scheduler(),
-                        policy.build_policy(),
-                        control_config,
-                        plan,
-                        &self.workload,
-                        execution,
-                    ),
-                    None => run_autoscaled(
-                        self.config,
-                        bootstrap as usize,
-                        router.build_router(),
-                        move || scheduler_spec.build_scheduler(),
-                        policy.build_policy(),
-                        control_config,
-                        &self.workload,
-                        execution,
-                    ),
-                };
-                RunOutcome {
-                    scenario: self.name,
-                    topology: format!("autoscaled({bootstrap})"),
-                    scheduler: scheduler_name,
-                    router: Some(out.router.clone()),
-                    scale_policy: out.policy.clone(),
-                    replicas: out.replicas.len(),
-                    scale_events: out.scale_events.len(),
-                    complete: out.complete,
-                    completion: completion_of(out.complete),
-                    report: out.merged,
-                    trace: out.trace,
-                }
+                    )
+                    .with_autoscaler(policy.build_policy(), control_config),
+                    format!("autoscaled({bootstrap})"),
+                    execution,
+                )
             }
+        };
+        // `with_fault_plan` treats an empty plan exactly like no plan.
+        let cluster = match self.fault {
+            Some(plan) => cluster.with_fault_plan(plan),
+            None => cluster,
+        };
+        let out = cluster
+            .with_execution(execution.build_execution())
+            .run(&self.workload);
+        RunOutcome {
+            scenario: self.name,
+            topology,
+            scheduler: scheduler_name,
+            router: Some(out.router),
+            scale_policy: out.policy,
+            replicas: out.replicas.len(),
+            scale_events: out.scale_events.len(),
+            complete: out.complete,
+            completion: completion_of(out.complete),
+            report: out.merged,
+            trace: out.trace,
         }
     }
 }
@@ -809,6 +781,34 @@ mod tests {
             ..ScenarioSpec::default()
         };
         assert!(matches!(spec.build(), Err(SpecError::Build { .. })));
+    }
+
+    #[test]
+    fn a_model_that_does_not_fit_is_a_build_error_not_a_panic() {
+        for (model, hardware, mem_frac) in [
+            ("Qwen2.5-32B", "RTX4090", 0.9),
+            ("Qwen2.5-32B", "A6000", 0.9),
+            ("Qwen2.5-32B", "Ascend910B", 0.9),
+            ("Llama3-8B", "RTX4090", 0.01),
+        ] {
+            let spec = ScenarioSpec {
+                model: model.to_string(),
+                hardware: hardware.to_string(),
+                engine: EngineSpec {
+                    mem_frac,
+                    ..EngineSpec::default()
+                },
+                ..ScenarioSpec::default()
+            };
+            match spec.build() {
+                Err(SpecError::Build { msg }) => {
+                    for part in [model, hardware, &mem_frac.to_string()] {
+                        assert!(msg.contains(part), "{msg} should name {part}");
+                    }
+                }
+                other => panic!("{model} on {hardware} at {mem_frac}: {other:?}"),
+            }
+        }
     }
 
     #[test]

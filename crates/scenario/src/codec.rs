@@ -308,12 +308,26 @@ pub fn scenario_from_json(v: &Json, path: &str) -> Result<ScenarioSpec, SpecErro
     Ok(spec)
 }
 
-/// Cross-field check: a fault schedule needs a multi-replica topology,
-/// and every replica index it names must lie inside it (`replicas` for a
-/// fixed cluster, `control.max_replicas` for an elastic fleet).
-/// `ScenarioSpec::build` re-runs this so programmatically constructed
-/// specs hit the same typed error instead of a run-time panic.
+/// Cross-field check: an elastic fleet's `bootstrap` must lie inside
+/// `[control.min_replicas, control.max_replicas]`; a fault schedule needs
+/// a multi-replica topology, and every replica index it names must lie
+/// inside it (`replicas` for a fixed cluster, `control.max_replicas` for
+/// an elastic fleet). `ScenarioSpec::build` re-runs this so
+/// programmatically constructed specs hit the same typed error instead
+/// of a run-time panic.
 pub fn check_fault_topology(spec: &ScenarioSpec, path: &str) -> Result<(), SpecError> {
+    if let TopologySpec::Autoscaled {
+        bootstrap, control, ..
+    } = &spec.topology
+    {
+        let (min, max) = (control.min_replicas, control.max_replicas);
+        if !(min..=max).contains(bootstrap) {
+            return Err(invalid(
+                &format!("{path}.topology.bootstrap"),
+                format!("bootstrap fleet of {bootstrap} is outside [min_replicas, max_replicas] = [{min}, {max}]"),
+            ));
+        }
+    }
     let Some(fault) = &spec.fault else {
         return Ok(());
     };
@@ -1619,6 +1633,29 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, SpecError::Invalid { ref field, ref msg }
             if field == "scenario.fault.boot_failures[0]" && msg.contains("0..8")));
+    }
+
+    #[test]
+    fn bootstrap_outside_the_fleet_bounds_is_rejected() {
+        for (topology, range) in [
+            (
+                r#"{"type": "autoscaled", "bootstrap": 5,
+                    "control": {"min_replicas": 1, "max_replicas": 2}}"#,
+                "[1, 2]",
+            ),
+            (
+                r#"{"type": "autoscaled", "bootstrap": 1,
+                    "control": {"min_replicas": 2}}"#,
+                "[2, 64]",
+            ),
+        ] {
+            let err = parse_scenario(&format!(r#"{{"topology": {topology}}}"#)).unwrap_err();
+            assert!(
+                matches!(err, SpecError::Invalid { ref field, ref msg }
+                    if field == "scenario.topology.bootstrap" && msg.contains(range)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

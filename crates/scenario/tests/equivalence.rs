@@ -10,13 +10,12 @@
 //! declarative layer must never have.
 
 use tokenflow_cluster::{
-    run_autoscaled, run_cluster_with, BacklogAwareRouter, Execution, LeastLoadedRouter,
-    RateAwareRouter, RoundRobinRouter, Router,
+    BacklogAwareRouter, ClusterEngine, LeastLoadedRouter, RateAwareRouter, RoundRobinRouter, Router,
 };
 use tokenflow_control::{
     ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy, ScriptedPolicy,
 };
-use tokenflow_core::{run_simulation_boxed, EngineConfig};
+use tokenflow_core::{Engine, EngineConfig};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
     ControlSpec, ExecutionSpec, RateDistSpec, RouterSpec, ScalePolicySpec, ScenarioSpec,
@@ -161,7 +160,7 @@ fn spec_control() -> ControlSpec {
 fn single_engine_spec_equals_hand_built_per_scheduler() {
     let w = trace();
     for which in SCHEDULERS {
-        let hand = run_simulation_boxed(config(), hand_scheduler(which), &w);
+        let hand = Engine::from_boxed(config(), hand_scheduler(which)).run(&w);
         let spec = ScenarioSpec {
             scheduler: spec_scheduler(which),
             ..base_spec()
@@ -184,14 +183,10 @@ fn cluster_spec_equals_hand_built_per_scheduler_and_router() {
     let w = trace();
     for sched in SCHEDULERS {
         for router in ROUTERS {
-            let hand = run_cluster_with(
-                config(),
-                3,
-                hand_router(router),
-                move || hand_scheduler(sched),
-                &w,
-                Execution::Sequential,
-            );
+            let hand = ClusterEngine::new(config(), 3, hand_router(router), move || {
+                hand_scheduler(sched)
+            })
+            .run(&w);
             let spec = ScenarioSpec {
                 scheduler: spec_scheduler(sched),
                 topology: TopologySpec::Cluster {
@@ -219,16 +214,11 @@ fn autoscaled_spec_equals_hand_built_per_scheduler_router_policy() {
     for sched in SCHEDULERS {
         for router in ROUTERS {
             for policy in POLICIES {
-                let hand = run_autoscaled(
-                    config(),
-                    2,
-                    hand_router(router),
-                    move || hand_scheduler(sched),
-                    hand_policy(policy),
-                    hand_control(),
-                    &w,
-                    Execution::Sequential,
-                );
+                let hand = ClusterEngine::new(config(), 2, hand_router(router), move || {
+                    hand_scheduler(sched)
+                })
+                .with_autoscaler(hand_policy(policy), hand_control())
+                .run(&w);
                 let spec = ScenarioSpec {
                     scheduler: spec_scheduler(sched),
                     topology: TopologySpec::Autoscaled {
@@ -256,14 +246,10 @@ fn autoscaled_spec_equals_hand_built_per_scheduler_router_policy() {
 #[test]
 fn parallel_execution_spec_matches_sequential_hand_built() {
     let w = trace();
-    let hand = run_cluster_with(
-        config(),
-        3,
-        hand_router("least-loaded"),
-        || hand_scheduler("tokenflow"),
-        &w,
-        Execution::Sequential,
-    );
+    let hand = ClusterEngine::new(config(), 3, hand_router("least-loaded"), || {
+        hand_scheduler("tokenflow")
+    })
+    .run(&w);
     let spec = ScenarioSpec {
         topology: TopologySpec::Cluster {
             replicas: 3,

@@ -4,7 +4,11 @@
 //! spec`, and emission is a fixed point (`emit(parse(text)) == text` for
 //! emitted `text`) — so specs survive arbitrarily many JSON hops without
 //! drift. Unknown names must come back as typed errors listing the valid
-//! alternatives, never as panics.
+//! alternatives, never as panics. The same generators, cut down to cheap
+//! workloads, also drive specs through `build` and `run`: a spec either
+//! fails to build with a typed error or runs to an outcome, never a panic.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use tokenflow_scenario::{
@@ -244,19 +248,24 @@ fn arb_workload() -> impl Strategy<Value = WorkloadSpec> {
                 }
             ),
         arb_name().prop_map(|path| WorkloadSpec::TraceCsv { path }),
-        collection::vec(
-            (0.0f64..100.0, 1u64..4096, 1u64..4096, 1.0f64..50.0).prop_map(
-                |(arrival_secs, prompt_tokens, output_tokens, rate)| InlineRequest {
-                    arrival_secs,
-                    prompt_tokens,
-                    output_tokens,
-                    rate,
-                }
-            ),
-            0usize..5
-        )
-        .prop_map(|requests| WorkloadSpec::Inline { requests }),
+        arb_inline_workload(),
     ]
+}
+
+/// An inline workload of at most four requests.
+fn arb_inline_workload() -> impl Strategy<Value = WorkloadSpec> {
+    collection::vec(
+        (0.0f64..100.0, 1u64..4096, 1u64..4096, 1.0f64..50.0).prop_map(
+            |(arrival_secs, prompt_tokens, output_tokens, rate)| InlineRequest {
+                arrival_secs,
+                prompt_tokens,
+                output_tokens,
+                rate,
+            },
+        ),
+        0usize..5,
+    )
+    .prop_map(|requests| WorkloadSpec::Inline { requests })
 }
 
 fn arb_engine() -> impl Strategy<Value = EngineSpec> {
@@ -290,16 +299,19 @@ fn arb_topology() -> impl Strategy<Value = TopologySpec> {
                 execution,
             }
         }),
+        // The bootstrap fleet lies inside `[min_replicas, max_replicas]`
+        // — the cross-field topology check rejects anything else.
         (
-            1u64..8,
+            0u64..8,
             arb_router(),
             arb_policy(),
             arb_control(),
             arb_execution()
         )
-            .prop_map(|(bootstrap, router, policy, control, execution)| {
+            .prop_map(|(offset, router, policy, control, execution)| {
+                let span = control.max_replicas - control.min_replicas + 1;
                 TopologySpec::Autoscaled {
-                    bootstrap,
+                    bootstrap: control.min_replicas + offset % span,
                     router,
                     policy,
                     control,
@@ -394,6 +406,32 @@ fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
         )
 }
 
+/// A round-trip spec made cheap to run: an inline workload, a deadline of
+/// at most 600 s and control ticks of at least 0.5 s. Memory fraction and
+/// bootstrap fleet are redrawn over wider ranges than the round trip uses,
+/// so models that do not fit their GPU and bootstrap fleets outside
+/// `[min_replicas, max_replicas]` both turn up.
+fn arb_runnable_scenario() -> impl Strategy<Value = ScenarioSpec> {
+    (
+        arb_scenario(),
+        arb_inline_workload(),
+        (0.01f64..1.0, 0.0f64..600.0, 1u64..8),
+    )
+        .prop_map(|(mut spec, workload, (mem_frac, deadline_secs, boot))| {
+            spec.workload = workload;
+            spec.engine.mem_frac = mem_frac;
+            spec.engine.deadline_secs = deadline_secs;
+            if let TopologySpec::Autoscaled {
+                bootstrap, control, ..
+            } = &mut spec.topology
+            {
+                *bootstrap = boot;
+                control.control_tick_secs = control.control_tick_secs.map(|t| t.max(0.5));
+            }
+            spec
+        })
+}
+
 proptest! {
     #[test]
     fn scenario_json_roundtrip_is_identity(spec in arb_scenario()) {
@@ -442,6 +480,17 @@ proptest! {
         let cut = cut.min(text.len());
         let truncated: String = text.chars().take(cut).collect();
         let _ = codec::parse_scenario(&truncated);
+    }
+
+    #[test]
+    fn valid_specs_never_panic_through_build_and_run(spec in arb_runnable_scenario()) {
+        let text = codec::scenario_to_json(&spec).emit();
+        catch_unwind(AssertUnwindSafe(|| {
+            if let Ok(harness) = spec.build() {
+                harness.run();
+            }
+        }))
+        .map_err(|_| format!("build or run panicked on {text}"))?;
     }
 }
 

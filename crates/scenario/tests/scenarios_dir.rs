@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use tokenflow_cluster::{run_autoscaled, Execution, LeastLoadedRouter};
+use tokenflow_cluster::{ClusterEngine, LeastLoadedRouter};
 use tokenflow_control::{ControlConfig, ReactivePolicy};
 use tokenflow_core::EngineConfig;
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -135,16 +135,11 @@ fn flash_crowd_autoscale_file_matches_hand_built_stack() {
         .with_max_replicas(6)
         .with_boot_delay(SimDuration::from_secs(2))
         .with_cooldown(SimDuration::ZERO);
-    let hand = run_autoscaled(
-        config,
-        2,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        ReactivePolicy::new(),
-        control,
-        &workload,
-        Execution::Sequential,
-    );
+    let hand = ClusterEngine::new(config, 2, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .with_autoscaler(ReactivePolicy::new(), control)
+    .run(&workload);
 
     assert!(from_file.complete && hand.complete);
     assert_eq!(

@@ -26,7 +26,7 @@ fn main() {
     let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090())
         .with_max_batch(16)
         .with_timelines(30);
-    let outcome = run_simulation(config, TokenFlowScheduler::new(), &workload);
+    let outcome = Engine::new(config, TokenFlowScheduler::new()).run(&workload);
 
     println!("mixed-rate burst of {} requests under TokenFlow\n", 30);
     for target in [15.0, 20.0] {

@@ -21,10 +21,11 @@
 //!   contexts with.
 //! * [`core`] — the serving engine as a staged pipeline (admission → KV
 //!   orchestration → batch composition/pricing → delivery) orchestrated by
-//!   `Engine::step`, and the [`run_simulation`] entry point.
+//!   `Engine::step`, with `Engine::run` as the one-call entry point.
 //! * [`cluster`] — multi-replica serving: `ClusterEngine` drives N engine
 //!   replicas on one simulated timeline behind a pluggable `Router`
-//!   (round-robin, least-loaded, rate-aware QoS).
+//!   (round-robin, least-loaded, rate-aware QoS); `ClusterEngine::run`
+//!   serves a whole workload.
 //! * [`control`] — the elastic control plane: `ScalePolicy`
 //!   (reactive / EWMA-predictive / scripted) driving a deterministic
 //!   `Provisioning → Active → Draining → Retired` replica lifecycle at
@@ -37,7 +38,6 @@
 //!   sweep`, `tokenflow list-policies`) drives it without writing Rust.
 //!
 //! [`Scheduler`]: sched::Scheduler
-//! [`run_simulation`]: core::run_simulation
 //!
 //! ## Quickstart
 //!
@@ -65,7 +65,7 @@
 //! The imperative APIs remain for step-level control:
 //!
 //! ```
-//! use tokenflow::core::{run_simulation, EngineConfig};
+//! use tokenflow::core::{Engine, EngineConfig};
 //! use tokenflow::model::{HardwareProfile, ModelProfile};
 //! use tokenflow::sched::TokenFlowScheduler;
 //! use tokenflow::sim::{RequestId, SimTime};
@@ -79,14 +79,14 @@
 //!     rate: 15.0, // the client reads at 15 tokens/second
 //! }]);
 //! let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200());
-//! let outcome = run_simulation(config, TokenFlowScheduler::new(), &workload);
+//! let outcome = Engine::new(config, TokenFlowScheduler::new()).run(&workload);
 //! assert_eq!(outcome.report.completed, 1);
 //! ```
 //!
 //! ## Scaling out
 //!
 //! ```
-//! use tokenflow::cluster::{run_cluster, RateAwareRouter};
+//! use tokenflow::cluster::{ClusterEngine, RateAwareRouter};
 //! use tokenflow::core::EngineConfig;
 //! use tokenflow::model::{HardwareProfile, ModelProfile};
 //! use tokenflow::sched::TokenFlowScheduler;
@@ -105,13 +105,10 @@
 //!         .collect(),
 //! );
 //! let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200());
-//! let outcome = run_cluster(
-//!     config,
-//!     2,
-//!     RateAwareRouter::new(),
-//!     || Box::new(TokenFlowScheduler::new()),
-//!     &workload,
-//! );
+//! let outcome = ClusterEngine::new(config, 2, RateAwareRouter::new(), || {
+//!     Box::new(TokenFlowScheduler::new())
+//! })
+//! .run(&workload);
 //! assert_eq!(outcome.merged.completed, 8);
 //! assert_eq!(outcome.replicas.len(), 2);
 //! ```
@@ -135,16 +132,14 @@ pub use tokenflow_workload as workload;
 /// Convenience re-exports of the most common entry points.
 pub mod prelude {
     pub use tokenflow_cluster::{
-        run_autoscaled, ClusterEngine, ClusterOutcome, Execution, LeastLoadedRouter,
-        RateAwareRouter, RoundRobinRouter, Router,
+        ClusterEngine, ClusterOutcome, Execution, LeastLoadedRouter, RateAwareRouter,
+        RoundRobinRouter, Router,
     };
     pub use tokenflow_control::{
         ControlConfig, ControlPlane, PredictivePolicy, ReactivePolicy, ReplicaPhase, ScaleDecision,
         ScalePolicy, ScriptedPolicy,
     };
-    pub use tokenflow_core::{
-        run_simulation, run_simulation_boxed, Engine, EngineConfig, EngineLoad, SimOutcome,
-    };
+    pub use tokenflow_core::{Engine, EngineConfig, EngineLoad, SimOutcome};
     pub use tokenflow_metrics::{QosParams, RunReport};
     pub use tokenflow_model::{CostModel, HardwareProfile, ModelProfile};
     pub use tokenflow_scenario::{

@@ -34,7 +34,7 @@ fn every_scheduler_completes_a_contended_burst() {
         let name = sched.name();
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090())
             .with_max_batch(8);
-        let outcome = run_simulation_boxed(config, sched, &workload);
+        let outcome = Engine::from_boxed(config, sched).run(&workload);
         assert!(outcome.complete, "{name} must complete");
         assert_eq!(outcome.report.completed, 24, "{name}");
         for r in &outcome.records {
@@ -52,7 +52,7 @@ fn tokenflow_beats_fcfs_under_burst() {
     let workload = ControlledSetup::rtx4090_a().workload(42);
     fn run(sched: impl Scheduler + 'static, workload: &Workload) -> SimOutcome {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090());
-        run_simulation(config, sched, workload)
+        Engine::new(config, sched).run(workload)
     }
     let fcfs = run(FcfsScheduler::new(), &workload);
     let tf = run(TokenFlowScheduler::new(), &workload);
@@ -82,7 +82,7 @@ fn andes_pays_a_raw_throughput_penalty() {
     let workload = ControlledSetup::rtx4090_a().workload(42);
     fn run(sched: impl Scheduler + 'static, workload: &Workload) -> SimOutcome {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090());
-        run_simulation(config, sched, workload)
+        Engine::new(config, sched).run(workload)
     }
     let fcfs = run(FcfsScheduler::new(), &workload);
     let andes = run(AndesScheduler::new(), &workload);
@@ -100,7 +100,7 @@ fn simulation_is_deterministic_end_to_end() {
     let run = || {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200())
             .with_mem_frac(0.3);
-        run_simulation(config, TokenFlowScheduler::new(), &workload)
+        Engine::new(config, TokenFlowScheduler::new()).run(&workload)
     };
     let a = run();
     let b = run();
@@ -120,7 +120,7 @@ fn ablation_offload_disabled_is_slowest() {
     let run = |offload: bool, wt: bool, overlap: bool| {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090())
             .with_kv_features(offload, wt, overlap);
-        run_simulation(config, TokenFlowScheduler::new(), &workload)
+        Engine::new(config, TokenFlowScheduler::new()).run(&workload)
     };
     let full = run(true, true, true);
     let no_offload = run(false, false, true);
@@ -142,7 +142,7 @@ fn trace_roundtrip_replays_identically() {
     assert_eq!(reloaded, workload);
     let run = |w: &Workload| {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090());
-        run_simulation(config, FcfsScheduler::new(), w)
+        Engine::new(config, FcfsScheduler::new()).run(w)
     };
     assert_eq!(run(&workload).report, run(&reloaded).report);
 }
@@ -163,7 +163,7 @@ fn multi_rate_classes_hold_their_targets() {
     );
     let config =
         EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090()).with_max_batch(12);
-    let outcome = run_simulation(config, TokenFlowScheduler::new(), &workload);
+    let outcome = Engine::new(config, TokenFlowScheduler::new()).run(&workload);
     assert!(outcome.complete);
     for r in &outcome.records {
         // Streaming window cannot beat the reader's own pace and should
@@ -190,7 +190,7 @@ fn stalls_stay_bounded_under_feasible_load() {
     let workload = ControlledSetup::h200_a().workload(42);
     let config =
         EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200()).with_mem_frac(0.3);
-    let outcome = run_simulation(config, TokenFlowScheduler::new(), &workload);
+    let outcome = Engine::new(config, TokenFlowScheduler::new()).run(&workload);
     assert!(outcome.complete);
     let playback: f64 = outcome
         .records
@@ -209,7 +209,7 @@ fn stalls_stay_bounded_under_feasible_load() {
 fn queued_series_reflects_burst_then_drains() {
     let workload = ControlledSetup::rtx4090_a().workload(1);
     let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090());
-    let outcome = run_simulation(config, FcfsScheduler::new(), &workload);
+    let outcome = Engine::new(config, FcfsScheduler::new()).run(&workload);
     let peak = outcome.queued_series.max().unwrap_or(0.0);
     assert!(peak > 10.0, "burst must queue: peak {peak}");
     let last = outcome.queued_series.samples().last().unwrap().1;

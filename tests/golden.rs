@@ -22,9 +22,9 @@
 //! `cargo test --test golden -- --nocapture` and copy the table each
 //! failing test prints.
 
-use tokenflow_cluster::{run_autoscaled, run_cluster_with, ClusterOutcome, Execution, Router};
+use tokenflow_cluster::{ClusterEngine, ClusterOutcome, Execution, Router};
 use tokenflow_control::{ControlConfig, ScalePolicy};
-use tokenflow_core::{run_simulation_boxed, EngineConfig, SimOutcome};
+use tokenflow_core::{Engine, EngineConfig, SimOutcome};
 use tokenflow_metrics::{fnv1a64, RunReport, RuntimeCounters};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
@@ -185,7 +185,7 @@ fn golden_single_engine_per_scheduler() {
     let measured: Vec<(String, u64)> = ENGINE_GOLDEN
         .iter()
         .map(|(which, _)| {
-            let out = run_simulation_boxed(config(), scheduler(which), &w);
+            let out = Engine::from_boxed(config(), scheduler(which)).run(&w);
             assert!(out.complete, "{which}: run incomplete");
             (which.to_string(), engine_digest(&out))
         })
@@ -220,14 +220,9 @@ fn golden_cluster_per_router_and_executor() {
         .map(|which| {
             let run = |execution| {
                 let sched = scheduler_spec("tokenflow");
-                run_cluster_with(
-                    config(),
-                    3,
-                    router(which),
-                    move || sched.build_scheduler(),
-                    &w,
-                    execution,
-                )
+                ClusterEngine::new(config(), 3, router(which), move || sched.build_scheduler())
+                    .with_execution(execution)
+                    .run(&w)
             };
             let seq = run(Execution::Sequential);
             let par = run(Execution::parallel(4));
@@ -259,7 +254,7 @@ fn golden_differential_fast_path_off() {
     let engines: Vec<(String, u64)> = ENGINE_GOLDEN
         .iter()
         .map(|(which, _)| {
-            let out = run_simulation_boxed(off.clone(), scheduler(which), &w);
+            let out = Engine::from_boxed(off.clone(), scheduler(which)).run(&w);
             assert!(out.complete, "{which}: fastpath-off run incomplete");
             (which.to_string(), engine_digest(&out))
         })
@@ -271,14 +266,11 @@ fn golden_differential_fast_path_off() {
         .map(|which| {
             let run = |execution| {
                 let sched = scheduler_spec("tokenflow");
-                run_cluster_with(
-                    off.clone(),
-                    3,
-                    router(which),
-                    move || sched.build_scheduler(),
-                    &w,
-                    execution,
-                )
+                ClusterEngine::new(off.clone(), 3, router(which), move || {
+                    sched.build_scheduler()
+                })
+                .with_execution(execution)
+                .run(&w)
             };
             let seq = run(Execution::Sequential);
             let par = run(Execution::parallel(4));
@@ -351,16 +343,12 @@ fn golden_autoscaled_per_policy_and_executor() {
         .map(|(name, control, which)| {
             let run = |execution| {
                 let sched = scheduler_spec("tokenflow");
-                run_autoscaled(
-                    config(),
-                    2,
-                    router("least-loaded"),
-                    move || sched.build_scheduler(),
-                    policy(which),
-                    control.clone(),
-                    &w,
-                    execution,
-                )
+                ClusterEngine::new(config(), 2, router("least-loaded"), move || {
+                    sched.build_scheduler()
+                })
+                .with_autoscaler(policy(which), control.clone())
+                .with_execution(execution)
+                .run(&w)
             };
             let seq = run(Execution::Sequential);
             let par = run(Execution::parallel(4));

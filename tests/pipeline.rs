@@ -8,7 +8,7 @@
 //! while driving the pipeline step by step must exactly reconstruct the
 //! final per-request records — same token counts, same first-token
 //! instants, same finish instants — and the step-driven run must be
-//! indistinguishable from `run_simulation`'s internal loop.
+//! indistinguishable from `Engine::run`'s internal loop.
 
 use std::collections::HashMap;
 
@@ -53,7 +53,7 @@ proptest! {
 
     #[test]
     fn step_stream_reconstructs_final_records(w in arb_workload(), which in 0u8..4) {
-        let mut engine = Engine::new(config(), build(which));
+        let mut engine = Engine::from_boxed(config(), build(which));
         for spec in w.iter() {
             engine.submit(*spec);
         }
@@ -103,16 +103,16 @@ proptest! {
     }
 
     #[test]
-    fn step_driven_run_matches_run_simulation(w in arb_workload(), which in 0u8..4) {
+    fn step_driven_run_matches_engine_run(w in arb_workload(), which in 0u8..4) {
         // Driving the staged pipeline one step at a time must be
         // indistinguishable from the one-call entry point.
-        let mut engine = Engine::new(config(), build(which));
+        let mut engine = Engine::from_boxed(config(), build(which));
         for spec in w.iter() {
             engine.submit(*spec);
         }
         while !engine.step().done {}
         let stepped = engine.into_outcome();
-        let batch = run_simulation(config(), build(which), &w);
+        let batch = Engine::from_boxed(config(), build(which)).run(&w);
         prop_assert_eq!(&stepped.report, &batch.report);
         prop_assert_eq!(&stepped.records, &batch.records);
         prop_assert_eq!(stepped.iterations, batch.iterations);

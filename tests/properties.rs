@@ -48,7 +48,7 @@ proptest! {
     fn engine_preserves_token_conservation(w in arb_workload(), which in arb_scheduler()) {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090())
             .with_max_batch(8);
-        let outcome = run_simulation(config, build(which), &w);
+        let outcome = Engine::from_boxed(config, build(which)).run(&w);
         prop_assert!(outcome.complete);
         prop_assert_eq!(outcome.report.completed, w.len());
         for (r, spec) in outcome.records.iter().zip(w.iter()) {
@@ -70,7 +70,7 @@ proptest! {
     fn effective_never_exceeds_raw_throughput(w in arb_workload(), which in arb_scheduler()) {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200())
             .with_max_batch(16);
-        let outcome = run_simulation(config, build(which), &w);
+        let outcome = Engine::from_boxed(config, build(which)).run(&w);
         prop_assert!(outcome.report.effective_throughput <= outcome.report.throughput + 1e-9);
         prop_assert!(outcome.report.throughput >= 0.0);
     }
@@ -80,7 +80,7 @@ proptest! {
         let run = || {
             let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090())
                 .with_max_batch(8);
-            run_simulation(config, build(which), &w)
+            Engine::from_boxed(config, build(which)).run(&w)
         };
         let a = run();
         let b = run();
@@ -92,7 +92,7 @@ proptest! {
     fn rebuffer_and_stalls_are_consistent(w in arb_workload()) {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090())
             .with_max_batch(4); // force contention
-        let outcome = run_simulation(config, build(3), &w);
+        let outcome = Engine::from_boxed(config, build(3)).run(&w);
         for r in &outcome.records {
             // A stall implies rebuffer time and vice versa (beyond rounding).
             if r.stall_events == 0 {
@@ -108,7 +108,7 @@ proptest! {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090())
             .with_max_batch(8)
             .with_timelines(n);
-        let outcome = run_simulation(config, build(3), &w);
+        let outcome = Engine::from_boxed(config, build(3)).run(&w);
         prop_assert_eq!(outcome.timelines.len(), n);
         for tl in &outcome.timelines {
             let pts = tl.points();

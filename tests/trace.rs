@@ -17,8 +17,8 @@
 //!    to each request's recorded TTFT and latency, for every request of
 //!    two scenarios (single-engine and clustered).
 
-use tokenflow_cluster::{run_cluster_with, Execution, LeastLoadedRouter};
-use tokenflow_core::run_simulation_boxed;
+use tokenflow_cluster::{ClusterEngine, LeastLoadedRouter};
+use tokenflow_core::Engine;
 use tokenflow_metrics::RequestMetrics;
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
@@ -218,11 +218,7 @@ fn assert_sums(journal: &TraceJournal, id: RequestId, record: &RequestMetrics, l
 
 #[test]
 fn explain_attributions_sum_to_ttft_and_latency_single_engine() {
-    let out = run_simulation_boxed(
-        traced_config(),
-        Box::new(TokenFlowScheduler::new()),
-        &bursty_workload(),
-    );
+    let out = Engine::new(traced_config(), TokenFlowScheduler::new()).run(&bursty_workload());
     assert!(out.complete, "single-engine run incomplete");
     let journal = out.trace.expect("traced run yields a journal");
     assert!(!out.records.is_empty());
@@ -234,14 +230,10 @@ fn explain_attributions_sum_to_ttft_and_latency_single_engine() {
 #[test]
 fn explain_attributions_sum_to_ttft_and_latency_cluster() {
     let w = bursty_workload();
-    let out = run_cluster_with(
-        traced_config(),
-        3,
-        LeastLoadedRouter::new(),
-        || Box::new(TokenFlowScheduler::new()),
-        &w,
-        Execution::Sequential,
-    );
+    let out = ClusterEngine::new(traced_config(), 3, LeastLoadedRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .run(&w);
     assert!(out.complete, "cluster run incomplete");
     let journal = out.trace.expect("traced run yields a journal");
     assert_eq!(out.assignments.len(), w.len());
