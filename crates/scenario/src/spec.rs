@@ -120,7 +120,9 @@ pub struct TokenFlowSpec {
     pub headroom_tokens: u64,
     /// Memory fill target as a fraction of KV capacity.
     pub util_target: f64,
-    /// Cap on preempt/resume transitions per pass.
+    /// Cap on the actions a full pass issues (preemptions, resumes and
+    /// admissions). Admissions and resumes are budgeted first;
+    /// preemptions take what remains.
     pub max_transitions: u64,
     /// D2H backpressure threshold as a fraction of the interval.
     pub io_backpressure: f64,

@@ -55,8 +55,11 @@ pub struct TokenFlowParams {
     pub headroom_tokens: u64,
     /// Memory fill target as a fraction of KV capacity.
     pub util_target: f64,
-    /// Cap on preempt/resume transitions issued per pass (I/O-load
-    /// awareness, §3.1).
+    /// Cap on the actions a full pass issues: preemptions, resumes and
+    /// admissions together (I/O-load awareness, §3.1). Admissions and
+    /// resumes are budgeted first, oldest arrival first; preemptions take
+    /// what remains, so a burst cannot spend the cap on preemptions that
+    /// nothing then replaces.
     pub max_transitions: usize,
     /// Defer further evictions when the D2H queue ETA exceeds this fraction
     /// of the schedule interval.
@@ -508,25 +511,13 @@ impl TokenFlowScheduler {
         }
 
         // Diff against the current state, respecting the transition cap and
-        // I/O backpressure.
+        // I/O backpressure. Admissions have first claim on the cap and
+        // preemptions take what remains: a pass that spends its cap on
+        // preemptions admits nothing, so a burst would only churn.
         let interval = self.params.schedule_interval.as_secs_f64();
         let io_loaded = ctx.d2h_eta.as_secs_f64() > self.params.io_backpressure * interval;
-        let mut transitions = 0usize;
         let mut actions = Vec::new();
 
-        // Preemptions first: they free the memory admissions need.
-        for (i, c) in candidates.iter().enumerate() {
-            if c.phase == ReqPhase::Running && !sc.in_selected[i] {
-                if !c.safe_to_preempt || io_loaded || transitions >= self.params.max_transitions {
-                    continue;
-                }
-                actions.push(Action::Preempt {
-                    id: c.id,
-                    mode: PreemptMode::Offload,
-                });
-                transitions += 1;
-            }
-        }
         sc.admits.clear();
         sc.admits.extend((0..candidates.len()).filter(|&i| {
             sc.in_selected[i]
@@ -537,10 +528,29 @@ impl TokenFlowScheduler {
         }));
         sc.admits
             .sort_by_key(|&i| (candidates[i].arrival, candidates[i].id));
+        sc.admits.truncate(self.params.max_transitions);
+
+        // Preemptions are emitted first: they free the memory admissions
+        // need.
+        let preempt_budget = if io_loaded {
+            0
+        } else {
+            self.params.max_transitions - sc.admits.len()
+        };
+        actions.extend(
+            candidates
+                .iter()
+                .enumerate()
+                .filter(|&(i, c)| {
+                    c.phase == ReqPhase::Running && !sc.in_selected[i] && c.safe_to_preempt
+                })
+                .take(preempt_budget)
+                .map(|(_, c)| Action::Preempt {
+                    id: c.id,
+                    mode: PreemptMode::Offload,
+                }),
+        );
         for &i in &sc.admits {
-            if transitions >= self.params.max_transitions {
-                break;
-            }
             let c = &candidates[i];
             actions.push(match (c.phase, c.prefer_recompute) {
                 (ReqPhase::WaitingNew, _) => Action::AdmitPrefill(c.id),
@@ -548,7 +558,6 @@ impl TokenFlowScheduler {
                 (ReqPhase::WaitingCpu, false) => Action::Resume(c.id),
                 _ => unreachable!("filtered to waiting phases"),
             });
-            transitions += 1;
         }
         self.scratch = sc;
         SchedPlan { actions, notes }
@@ -963,6 +972,118 @@ mod tests {
     #[test]
     fn default_swap_bound_is_unbounded() {
         assert_eq!(TokenFlowParams::default().swap_candidates, 0);
+    }
+
+    fn count(plan: &SchedPlan, f: impl Fn(&Action) -> bool) -> usize {
+        plan.actions.iter().filter(|a| f(a)).count()
+    }
+
+    fn is_preempt(a: &Action) -> bool {
+        matches!(a, Action::Preempt { .. })
+    }
+
+    fn is_admission(a: &Action) -> bool {
+        matches!(a, Action::AdmitPrefill(_) | Action::Resume(_))
+    }
+
+    #[test]
+    fn a_burst_cannot_spend_the_whole_cap_on_preemptions() {
+        // 300 buffer-rich readers and 40 fresh arrivals against a
+        // 64-request working set: the 40 arrivals outrank every reader,
+        // so 276 safe readers fall out of the working set, more than the
+        // default cap of 256. The cap must pay for the 40 admissions
+        // first and leave the remaining 216 transitions to preemptions.
+        let mut requests: Vec<ReqView> = (0..300)
+            .map(|i| with_context(running_with_buffer(i, 30.0), 600))
+            .collect();
+        requests.extend((300..340).map(|i| with_context(view(i, ReqPhase::WaitingNew), 600)));
+        let c = crate::api::SchedContextBuilder::new(SimTime::from_secs(100))
+            .requests(requests)
+            .memory(0, 200_000)
+            .profile(1e-4, 1e6)
+            .link(25e9, 131_072)
+            .max_batch(64)
+            .build();
+        let mut s = TokenFlowScheduler::new();
+        let cap = s.params().max_transitions;
+        let plan = s.plan(&c);
+        assert_eq!(count(&plan, is_admission), 40, "{plan:?}");
+        assert_eq!(count(&plan, is_preempt), cap - 40, "{plan:?}");
+        // Preemptions still come first, so memory frees before admission.
+        let first_admit = plan.actions.iter().position(is_admission).unwrap();
+        assert!(plan.actions[first_admit..].iter().all(is_admission));
+    }
+
+    /// A random population for the transition-budget property: readers
+    /// with random buffers and contexts, fresh arrivals, and offloaded
+    /// requests, under random memory and a random (often binding) cap.
+    fn arb_pass() -> impl proptest::prelude::Strategy<Value = (SchedContext, usize)> {
+        use proptest::prelude::*;
+        let reader = (0.0f64..40.0, 100u64..2_000);
+        (
+            prop::collection::vec(reader, 0..40),
+            prop::collection::vec(100u64..2_000, 0..40),
+            prop::collection::vec(100u64..4_000, 0..12),
+            5_000u64..200_000,
+            0usize..24,
+        )
+            .prop_map(|(running, fresh, offloaded, total, cap)| {
+                let mut requests = Vec::new();
+                let mut next = 0u64;
+                let mut id = || {
+                    next += 1;
+                    next - 1
+                };
+                for (buffer, context) in running {
+                    requests.push(with_context(running_with_buffer(id(), buffer), context));
+                }
+                for context in fresh {
+                    requests.push(with_context(view(id(), ReqPhase::WaitingNew), context));
+                }
+                for context in offloaded {
+                    let mut r = with_context(view(id(), ReqPhase::WaitingCpu), context);
+                    r.started = true;
+                    requests.push(r);
+                }
+                (ctx(requests, total / 4, total), cap)
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..proptest::ProptestConfig::default() })]
+
+        #[test]
+        fn admissions_have_first_claim_on_the_transition_cap(pass in arb_pass()) {
+            let (c, cap) = pass;
+            let capped = TokenFlowScheduler::with_params(TokenFlowParams {
+                max_transitions: cap,
+                ..TokenFlowParams::default()
+            })
+            .plan(&c);
+            let admits = count(&capped, is_admission);
+            let preempts = count(&capped, is_preempt);
+            proptest::prop_assert!(capped.actions.len() <= cap, "{capped:?}");
+            proptest::prop_assert!(preempts <= cap - admits, "{capped:?}");
+            // The cap only chooses which of the pass's decisions to
+            // issue: the oldest admissions, then the first preemptions,
+            // of the same pass run uncapped.
+            let free = TokenFlowScheduler::with_params(TokenFlowParams {
+                max_transitions: usize::MAX,
+                ..TokenFlowParams::default()
+            })
+            .plan(&c);
+            let want_admits: Vec<&Action> =
+                free.actions.iter().filter(|a| is_admission(a)).take(cap).collect();
+            let want_preempts: Vec<&Action> = free
+                .actions
+                .iter()
+                .filter(|a| is_preempt(a))
+                .take(cap - want_admits.len())
+                .collect();
+            let want: Vec<&Action> = want_preempts.into_iter().chain(want_admits).collect();
+            let got: Vec<&Action> = capped.actions.iter().collect();
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]
