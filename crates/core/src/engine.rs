@@ -17,7 +17,7 @@
 //! drive many replicas of this loop on one simulated timeline.
 
 use tokenflow_client::TokenBuffer;
-use tokenflow_kv::{Direction, KvConfig, KvManager};
+use tokenflow_kv::{Direction, KvConfig, KvManager, WriteFlushStats};
 use tokenflow_metrics::{RequestMetrics, RunReport, TokenTimeline};
 use tokenflow_model::CostModel;
 use tokenflow_sched::{PlanNote, SchedContext, SchedContextBuilder, Scheduler};
@@ -942,6 +942,12 @@ impl Engine {
     /// Plan-horizon fast-path counters accumulated so far.
     pub fn fast_path_stats(&self) -> FastPathStats {
         self.fast_stats
+    }
+
+    /// How often the write-through pump took the span path and the
+    /// ordered path so far.
+    pub fn write_flush_stats(&self) -> WriteFlushStats {
+        self.kv.write_flush_stats()
     }
 
     /// Iterations executed so far (fast and full steps both count).

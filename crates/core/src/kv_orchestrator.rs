@@ -57,12 +57,18 @@ pub(crate) fn apply_transfers(
 /// buffer occupancy (fuller buffers flush first — their owners are the
 /// likeliest preemption victims).
 ///
-/// Each decode member with queued tokens is re-priced through the write
-/// queue's per-request index, O(1) per member. Skipping the buffer
-/// advance for members with nothing queued is invisible: a reader's
-/// time-advance is Markov in `t` (stalls anchor to the scheduled read
-/// instant, not the call instant), so the next advance produces the same
-/// state either way.
+/// Most pulls drain the whole queue inside the window, where the flush
+/// order cannot be observed: [`KvManager::pump_writes_as_span`] sends
+/// those as one span and the re-pricing is skipped. Its caller contract
+/// holds here because both step paths run [`apply_transfers`] at
+/// `now + window` next, with nothing touching KV in between.
+///
+/// Otherwise each decode member with queued tokens is re-priced through
+/// the write queue's per-request index, O(1) per member. Skipping the
+/// buffer advance (for members with nothing queued, or for every member
+/// on the span path) is invisible: a reader's time-advance is Markov in
+/// `t` (stalls anchor to the scheduled read instant, not the call
+/// instant), so the next advance produces the same state either way.
 pub(crate) fn pump_write_through(
     st: &mut EngineState,
     kv: &mut KvManager,
@@ -70,6 +76,9 @@ pub(crate) fn pump_write_through(
     now: SimTime,
     window: SimDuration,
 ) {
+    if kv.pump_writes_as_span(now, window) {
+        return;
+    }
     for &req in decode {
         if kv.write_backlog_for(req) > 0 {
             let buffered = st.state_mut(req).buffer.buffered(now) as f64;

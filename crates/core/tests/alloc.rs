@@ -8,11 +8,12 @@
 //! refilled in place. This test pins that with a counting global
 //! allocator.
 //!
-//! Scope notes: write-through is disabled here because background sync
-//! legitimately allocates (transfer completions are reported as a
-//! per-advance vector) — that is KV *traffic*, not the per-step engine
-//! overhead this test isolates. The file holds exactly one `#[test]` so
-//! no concurrent test pollutes the counter.
+//! Write-through runs in the window, as on every default engine: each
+//! step's decoded tokens are flushed as one PCIe span, whose member list,
+//! like the write queue and the transfer and completion buffers, is
+//! retained across steps. The window must run on that span path, so the
+//! retained buffers are the ones the served workloads use. The file holds
+//! exactly one `#[test]` so no concurrent test pollutes the counter.
 //!
 //! The disabled [`TraceSink`] is threaded through every stage of the
 //! measured window (admission, planning, batch, KV, gates), so the
@@ -63,10 +64,9 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_step_allocates_nothing() {
-    // Write-through off isolates the engine loop from KV sync traffic
-    // (see module docs); offload stays on, but nothing preempts here.
+    // Offload and write-through on; nothing preempts here.
     let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200())
-        .with_kv_features(true, false, true);
+        .with_kv_features(true, true, true);
     let mut engine = Engine::new(config, FcfsScheduler::new());
     // Eight requests, all at t = 0, with outputs far longer than the
     // measured window: the steady state is a fixed decode batch with no
@@ -93,6 +93,7 @@ fn steady_state_step_allocates_nothing() {
     // Measured window: five hundred steady decode steps, zero allocations.
     let before = ALLOCS.load(Ordering::Relaxed);
     let fast_before = engine.fast_path_stats().fast_steps;
+    let flush_before = engine.write_flush_stats();
     for _ in 0..500 {
         engine.step_into(&mut out);
         assert!(
@@ -114,6 +115,17 @@ fn steady_state_step_allocates_nothing() {
     assert!(
         fast_steps >= 450,
         "measured window should be dominated by fast-path steps (got {fast_steps}/500)"
+    );
+    // Every step flushed its eight decoded tokens as one span: the
+    // ordered pump never ran, so the zero above covers the span path.
+    let flush = engine.write_flush_stats();
+    assert_eq!(
+        (
+            flush.span_pulls - flush_before.span_pulls,
+            flush.ordered_pulls - flush_before.ordered_pulls
+        ),
+        (500, 0),
+        "every step of the window should flush on the span path"
     );
     // The window really did deliver work (one token per member per step).
     assert_eq!(out.delivered.len(), 8);

@@ -11,7 +11,12 @@
 //! * **Synchronous chunked writing** (§5.2): each engine iteration the
 //!   manager pulls a byte budget matching the iteration's estimated compute
 //!   time from the write queue, so sync I/O completes inside compute
-//!   windows and never stalls the scheduler.
+//!   windows and never stalls the scheduler. [`KvManager::pump_writes`]
+//!   pulls in flush order, one PCIe transfer per chunk. The engine calls
+//!   [`KvManager::pump_writes_as_span`] first: when the pull would drain
+//!   the whole queue onto the D2H stream, finish inside the window and
+//!   fit the host pool, no read before the window ends can see the order,
+//!   so it sends the pull as one back-to-back transfer and skips the sort.
 //! * **Load-evict overlap** (§5.3): resume loads (H2D) run concurrently
 //!   with eviction flushes (D2H) on the independent duplex streams, and
 //!   chunk-granular block recycling lets a load begin before its victim has
@@ -76,6 +81,17 @@ pub enum KvError {
     /// Offloading is disabled (the w/o-offload ablation); callers must fall
     /// back to discard + recompute.
     OffloadDisabled,
+}
+
+/// How often each write-through pump ran, counting only pumps that found
+/// tokens queued.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WriteFlushStats {
+    /// Pulls sent as one back-to-back span
+    /// ([`KvManager::pump_writes_as_span`]).
+    pub span_pulls: u64,
+    /// Pulls run through the ordered pump ([`KvManager::pump_writes`]).
+    pub ordered_pulls: u64,
 }
 
 /// How an eviction started.
@@ -172,6 +188,17 @@ impl ReqState {
         }
     }
 
+    /// Blocks the CPU hold must grow by to take `tokens` more tokens —
+    /// what [`KvManager::set_cpu_hold`] would allocate — without its
+    /// division when the last block has room.
+    fn extra_cpu_blocks(&self, tokens: u64, block_tokens: u32) -> u64 {
+        let room = (self.cpu_blocks * block_tokens as u64).saturating_sub(self.cpu_hold);
+        if tokens <= room {
+            return 0;
+        }
+        tokens_to_blocks(self.cpu_hold + tokens, block_tokens).saturating_sub(self.cpu_blocks)
+    }
+
     fn set_residency(&mut self, r: Residency) {
         self.residency_tag = match r {
             Residency::None => 0,
@@ -231,6 +258,10 @@ pub struct KvManager {
     completion_scratch: Vec<TransferCompletion>,
     /// Retained chunk buffer for [`KvManager::pump_writes`], same idea.
     chunk_scratch: Vec<WriteChunk>,
+    /// Members of the write span in flight, one per request with all its
+    /// tokens (empty when none is). Retained across spans.
+    span_members: Vec<WriteChunk>,
+    flush_stats: WriteFlushStats,
     /// Number of requests in `Loading` residency. Maintained separately
     /// from `loading_order` because the queue holds only loads with
     /// chunks still to enqueue, while this counts every in-flight load
@@ -260,6 +291,8 @@ impl KvManager {
             evicting_count: 0,
             completion_scratch: Vec::new(),
             chunk_scratch: Vec::new(),
+            span_members: Vec::new(),
+            flush_stats: WriteFlushStats::default(),
             loading_count: 0,
             config,
         }
@@ -589,14 +622,26 @@ impl KvManager {
         self.loading_order.retain(|&r| r != req);
     }
 
+    /// Tokens a write-through pull over `window` may take: the bytes the
+    /// link moves in that time at nominal bandwidth.
+    fn write_budget_tokens(&self, window: SimDuration) -> u64 {
+        let budget_bytes = window.as_secs_f64() * self.pcie.bandwidth();
+        (budget_bytes / self.config.kv_bytes_per_token as f64) as u64
+    }
+
+    /// How often each write-through pump ran.
+    pub fn write_flush_stats(&self) -> WriteFlushStats {
+        self.flush_stats
+    }
+
     /// Pumps the background write-through sync with a byte budget matching
     /// the next compute window (synchronous chunked writing, §5.2).
     pub fn pump_writes(&mut self, now: SimTime, window: SimDuration) {
-        if !self.config.write_through {
+        if !self.config.write_through || self.write_queue.is_empty() {
             return;
         }
-        let budget_bytes = window.as_secs_f64() * self.pcie.bandwidth();
-        let budget_tokens = (budget_bytes / self.config.kv_bytes_per_token as f64) as u64;
+        self.flush_stats.ordered_pulls += 1;
+        let budget_tokens = self.write_budget_tokens(window);
         if budget_tokens == 0 {
             return;
         }
@@ -622,8 +667,9 @@ impl KvManager {
                 },
                 now,
             );
-            let s = self.req_state_mut(chunk.req).expect("request state");
-            s.wt_inflight += chunk.tokens;
+            if let Some(s) = self.req_state_mut(chunk.req) {
+                s.wt_inflight += chunk.tokens;
+            }
         }
         // Host pool full: the failing chunk and every chunk pulled after it
         // stay dirty, so they go back in the queue, in pull order.
@@ -631,6 +677,99 @@ impl KvManager {
             self.write_queue.push(chunk.req, chunk.tokens, 0.0);
         }
         self.chunk_scratch = chunks;
+    }
+
+    /// The engine's write-through pump: sends the whole queue as one D2H
+    /// span when the order [`KvManager::pump_writes`] would choose cannot
+    /// be observed, and returns `true`; otherwise changes nothing and
+    /// returns `false`, and the caller re-prices the queue and runs
+    /// [`KvManager::pump_writes`]. Also `true` when nothing is queued.
+    ///
+    /// The certificate: (a) the window's byte budget drains the whole
+    /// queue, (b) every chunk the ordered pump would make, placed back to
+    /// back from the D2H stream's start time, finishes by `now + window`,
+    /// and (c) the host pool has blocks for all of them, and no earlier
+    /// span is still in flight. The span lasts the sum of those chunks'
+    /// [`PcieEngine::transfer_time`]s, so each still pays its setup
+    /// latency, and at `now + window` the stream's `free_at` and bytes,
+    /// every hold and every request's state equal the ordered pump's.
+    ///
+    /// Caller contract (DESIGN.md §3): nothing reads or mutates KV state
+    /// between this call and [`KvManager::advance_into`] at
+    /// `now + window`. Only the completion times of individual chunks
+    /// differ from the ordered pump's, and with every queued request
+    /// GPU-resident their completions emit no events.
+    pub fn pump_writes_as_span(&mut self, now: SimTime, window: SimDuration) -> bool {
+        // Nothing is ever queued without write-through.
+        let pending = self.write_queue.pending_tokens();
+        if pending == 0 {
+            return true;
+        }
+        if !self.span_members.is_empty() || self.write_budget_tokens(window) < pending {
+            return false;
+        }
+        let (chunk_tokens, bytes_per_token) =
+            (self.config.chunk_tokens, self.config.kv_bytes_per_token);
+        let block_tokens = self.config.block_tokens;
+        let full_chunk = self.pcie.transfer_time(chunk_tokens * bytes_per_token);
+        // Most items are one decoded token: price each remainder size once.
+        let mut rest_time = (0, SimDuration::ZERO);
+        let mut duration = SimDuration::ZERO;
+        let mut cpu_blocks = 0;
+        for item in self.write_queue.items() {
+            // The ordered pump drops a chunk whose request has no state.
+            let Some(s) = self.req_state(item.req) else {
+                continue;
+            };
+            let rest = if item.tokens < chunk_tokens {
+                item.tokens
+            } else {
+                duration += full_chunk * (item.tokens / chunk_tokens);
+                item.tokens % chunk_tokens
+            };
+            if rest > 0 {
+                if rest != rest_time.0 {
+                    rest_time = (rest, self.pcie.transfer_time(rest * bytes_per_token));
+                }
+                duration += rest_time.1;
+            }
+            cpu_blocks += s.extra_cpu_blocks(item.tokens, block_tokens);
+        }
+        let start = self.pcie.start_time(Direction::D2H, now);
+        if start.saturating_add(duration) > now.saturating_add(window)
+            || !self.cpu.try_alloc(cpu_blocks)
+        {
+            return false;
+        }
+
+        // Hand the blocks just reserved out to their members.
+        let mut members = std::mem::take(&mut self.span_members);
+        let mut tokens = 0;
+        for item in self.write_queue.items() {
+            let Some(s) = self
+                .states
+                .get_mut(item.req.0 as usize)
+                .and_then(Option::as_mut)
+            else {
+                continue;
+            };
+            s.cpu_blocks += s.extra_cpu_blocks(item.tokens, block_tokens);
+            s.cpu_hold += item.tokens;
+            s.wt_inflight += item.tokens;
+            tokens += item.tokens;
+            members.push(item);
+        }
+        self.write_queue.clear();
+        self.pcie.enqueue_timed(
+            Direction::D2H,
+            tokens * bytes_per_token,
+            duration,
+            TransferTag::WriteSpan,
+            now,
+        );
+        self.span_members = members;
+        self.flush_stats.span_pulls += 1;
+        true
     }
 
     fn pump_loads(&mut self, now: SimTime) {
@@ -727,6 +866,19 @@ impl KvManager {
                         continue;
                     }
                     self.on_load_complete(req, tokens, c.completed_at, events);
+                }
+                TransferTag::WriteSpan => {
+                    // Each member completes as its chunks would have; the
+                    // D2H stream is FIFO, so stale chunks of a reused id
+                    // were absorbed before the span.
+                    let mut members = std::mem::take(&mut self.span_members);
+                    for m in members.drain(..) {
+                        if self.absorb_stale(m.req, m.tokens, StaleKind::Wt) {
+                            continue;
+                        }
+                        self.on_sync_complete(m.req, m.tokens, false, c.completed_at, events);
+                    }
+                    self.span_members = members;
                 }
             }
         }
@@ -900,6 +1052,58 @@ mod tests {
         assert_eq!(kv.write_backlog_for(r(1)), 48);
         assert_eq!(kv.write_backlog_for(r(2)), 48);
         assert!(kv.check_conservation());
+    }
+
+    #[test]
+    fn span_pump_sends_the_whole_queue_as_one_transfer() {
+        let mut kv = mgr();
+        kv.on_prefill(r(0), 100, SimTime::ZERO).unwrap();
+        kv.on_prefill(r(1), 1, SimTime::ZERO).unwrap();
+        let window = SimDuration::from_millis(2);
+        assert!(kv.pump_writes_as_span(SimTime::ZERO, window));
+        assert_eq!(kv.write_backlog_tokens(), 0);
+        assert_eq!(kv.io_queue_len(Direction::D2H), 1);
+        // Three chunks (64 + 36 + 1 tokens), each with its setup latency.
+        let chunks = [64, 36, 1].map(|t| kv.pcie().transfer_time(t * (1 << 17)));
+        assert_eq!(
+            kv.io_eta(Direction::D2H, SimTime::ZERO),
+            chunks.into_iter().sum::<SimDuration>()
+        );
+        let events = kv.advance_to(SimTime::ZERO + window);
+        assert!(events.is_empty(), "background sync emits no events");
+        assert_eq!(kv.dirty_tokens(r(0)) + kv.dirty_tokens(r(1)), 0);
+        assert_eq!(kv.cpu_pool().used_blocks(), 7 + 1);
+        assert!(kv.check_conservation());
+        let stats = kv.write_flush_stats();
+        assert_eq!((stats.span_pulls, stats.ordered_pulls), (1, 0));
+    }
+
+    #[test]
+    fn span_pump_declines_a_window_the_pull_overruns() {
+        let mut kv = mgr();
+        kv.on_prefill(r(0), 100, SimTime::ZERO).unwrap();
+        assert!(!kv.pump_writes_as_span(SimTime::ZERO, SimDuration::from_micros(300)));
+        assert_eq!(kv.write_backlog_tokens(), 100);
+        assert_eq!(kv.io_queue_len(Direction::D2H), 0);
+        assert_eq!(kv.write_flush_stats(), WriteFlushStats::default());
+    }
+
+    #[test]
+    fn span_pump_needs_the_byte_budget_to_drain_the_queue() {
+        let mut cfg = KvConfig::test_config();
+        cfg.pcie_latency_us = 0;
+        // 0.16 us per token: a two-token chunk rounds to no time at all.
+        cfg.kv_bytes_per_token = 4_096;
+        let mut kv = KvManager::new(cfg);
+        for i in 0..6 {
+            kv.on_prefill(r(i), 2, SimTime::ZERO).unwrap();
+        }
+        // One microsecond holds every chunk but moves only six tokens.
+        let window = SimDuration::from_micros(1);
+        assert!(!kv.pump_writes_as_span(SimTime::ZERO, window));
+        assert_eq!(kv.write_backlog_tokens(), 12);
+        kv.pump_writes(SimTime::ZERO, window);
+        assert_eq!(kv.write_backlog_tokens(), 6);
     }
 
     #[test]

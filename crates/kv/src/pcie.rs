@@ -53,17 +53,9 @@ pub enum TransferTag {
         /// Whether this is the final chunk of the load.
         last: bool,
     },
-}
-
-impl TransferTag {
-    /// The request the chunk belongs to.
-    pub fn request(&self) -> RequestId {
-        match *self {
-            TransferTag::WriteThrough { req, .. }
-            | TransferTag::Evict { req, .. }
-            | TransferTag::Load { req, .. } => req,
-        }
-    }
+    /// A whole write-through pull sent as one transfer; the KV manager
+    /// keeps the list of requests it carries.
+    WriteSpan,
 }
 
 /// A finished transfer, reported by [`PcieEngine::advance_to`].
@@ -206,6 +198,18 @@ impl PcieEngine {
         self.bandwidth
     }
 
+    /// When a transfer enqueued in `dir` at `now` would start.
+    pub(crate) fn start_time(&self, dir: Direction, now: SimTime) -> SimTime {
+        let floor = if self.half_duplex {
+            // One shared channel: a transfer starts only after *both*
+            // directions drain.
+            self.h2d.free_at.max(self.d2h.free_at)
+        } else {
+            self.stream(dir).free_at
+        };
+        floor.max(now)
+    }
+
     /// Enqueues a transfer; returns its completion time.
     pub fn enqueue(
         &mut self,
@@ -214,17 +218,22 @@ impl PcieEngine {
         tag: TransferTag,
         now: SimTime,
     ) -> SimTime {
-        let t = self.transfer_time(bytes);
-        let floor = if self.half_duplex {
-            // One shared channel: a transfer starts only after *both*
-            // directions drain.
-            self.h2d.free_at.max(self.d2h.free_at)
-        } else {
-            self.stream(dir).free_at
-        };
+        self.enqueue_timed(dir, bytes, self.transfer_time(bytes), tag, now)
+    }
+
+    /// [`PcieEngine::enqueue`] for a transfer whose duration the caller
+    /// has already priced, such as several chunks sent back to back as one
+    /// entry (the sum of their [`PcieEngine::transfer_time`]s).
+    pub(crate) fn enqueue_timed(
+        &mut self,
+        dir: Direction,
+        bytes: u64,
+        duration: SimDuration,
+        tag: TransferTag,
+        now: SimTime,
+    ) -> SimTime {
+        let done = self.start_time(dir, now) + duration;
         let stream = self.stream_mut(dir);
-        let start = floor.max(stream.free_at).max(now);
-        let done = start + t;
         stream.free_at = done;
         stream.enqueued_bytes += bytes;
         stream.queue.push_back((done, bytes, tag));

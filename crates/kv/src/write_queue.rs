@@ -11,11 +11,16 @@
 //! Figure 8 comparison.
 //!
 //! Every decoded token is pushed here and every decode member is
-//! re-prioritised each step, so the queue keeps one item per request and a
-//! dense position index keyed by the dense `RequestId`: `push`,
-//! `set_priority`, `cancel` and `pending_for` are O(1). A pull sorts the
-//! items once by flush order and drains the sorted prefix, O(Q log Q) for
-//! Q queued requests.
+//! re-prioritised before each ordered pull, so the queue keeps one item
+//! per request and a dense position index keyed by the dense `RequestId`:
+//! `push`, `set_priority`, `cancel`, `pending_for` and `pending_tokens`
+//! are O(1). A pull sorts the items once by flush order and drains the
+//! sorted prefix, O(Q log Q) for Q queued requests.
+//!
+//! When a pull would drain everything and nothing can observe the order
+//! the sort chose, the manager skips the sort: it reads the queue in
+//! storage order and empties it whole (see
+//! [`KvManager::pump_writes_as_span`](crate::KvManager::pump_writes_as_span)).
 
 use std::cmp::Ordering;
 
@@ -66,6 +71,8 @@ pub struct WriteQueue {
     /// `slots[req]` is the position of `req`'s item in `items`, or
     /// [`ABSENT`]. Grows on first push of an id.
     slots: Vec<u32>,
+    /// Σ `items[..].tokens`, kept in step with every change.
+    pending: u64,
     priority_mode: bool,
     next_seq: u64,
 }
@@ -108,6 +115,7 @@ impl WriteQueue {
         if tokens == 0 {
             return;
         }
+        self.pending += tokens;
         if let Some(item) = self.item_mut(req) {
             item.tokens += tokens;
             item.priority = priority;
@@ -143,6 +151,7 @@ impl WriteQueue {
         if let Some(moved) = self.items.get(pos) {
             self.set_slot(moved.req, pos as u32);
         }
+        self.pending -= item.tokens;
         item.tokens
     }
 
@@ -191,6 +200,7 @@ impl WriteQueue {
             }
             drained += 1;
         }
+        self.pending -= budget - remaining;
         for item in self.items.drain(..drained) {
             if let Some(slot) = self.slots.get_mut(item.req.0 as usize) {
                 *slot = ABSENT;
@@ -203,9 +213,29 @@ impl WriteQueue {
         }
     }
 
+    /// Drops every pending item.
+    pub(crate) fn clear(&mut self) {
+        for item in self.items.drain(..) {
+            if let Some(slot) = self.slots.get_mut(item.req.0 as usize) {
+                *slot = ABSENT;
+            }
+        }
+        self.pending = 0;
+    }
+
+    /// Every pending item, one per queued request with all its tokens, in
+    /// storage order — not flush order: for callers that have shown the
+    /// order is unobservable.
+    pub(crate) fn items(&self) -> impl Iterator<Item = WriteChunk> + '_ {
+        self.items.iter().map(|i| WriteChunk {
+            req: i.req,
+            tokens: i.tokens,
+        })
+    }
+
     /// Total pending tokens.
     pub fn pending_tokens(&self) -> u64 {
-        self.items.iter().map(|i| i.tokens).sum()
+        self.pending
     }
 
     /// Pending tokens for a specific request.
@@ -360,6 +390,26 @@ mod tests {
             .collect();
         assert_eq!(next, vec![(0, 64), (0, 6), (1, 30)]);
         assert_eq!(q.pending_for(r(1)), 70);
+    }
+
+    #[test]
+    fn items_list_everything_and_clear_keeps_the_index() {
+        let mut q = WriteQueue::new(true);
+        q.push(r(0), 10, 1.0);
+        q.push(r(1), 20, 9.0);
+        q.push(r(2), 30, 5.0);
+        q.cancel(r(0));
+        let mut listed: Vec<(u64, u64)> = q.items().map(|c| (c.req.0, c.tokens)).collect();
+        listed.sort_unstable();
+        assert_eq!(listed, vec![(1, 20), (2, 30)]);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.items().count(), 0);
+        assert_eq!(q.pending_tokens(), 0);
+        assert_eq!(q.pending_for(r(1)), 0);
+        q.push(r(1), 4, 1.0);
+        assert_eq!(q.pending_for(r(1)), 4);
+        assert_eq!(q.pending_tokens(), 4);
     }
 
     #[test]

@@ -21,6 +21,20 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+/// `x.round() as u64` for `x ≥ 0` (ties away from zero, saturating at
+/// `u64::MAX`), without the `round` libm call that `f64::round` compiles
+/// to on baseline x86_64, and without a branch on the fraction, which
+/// random inputs would mispredict half the time.
+///
+/// Exact: below 2⁵³ the truncation `t` is exact and so is `x - t`, since
+/// both are multiples of `x`'s ulp and the difference is below one; from
+/// 2⁵³ on every `f64` is an integer and the fraction is zero. From 2⁶⁴
+/// on the cast saturates and `saturating_add` keeps it there.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 impl SimTime {
     /// The simulation epoch (time zero).
     pub const ZERO: SimTime = SimTime(0);
@@ -51,7 +65,7 @@ impl SimTime {
     /// Panics if `s` is negative or not finite.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid time {s}");
-        SimTime((s * MICROS_PER_SEC as f64).round() as u64)
+        SimTime(round_to_u64(s * MICROS_PER_SEC as f64))
     }
 
     /// Raw microseconds since simulation start.
@@ -121,7 +135,7 @@ impl SimDuration {
     /// Panics if `s` is negative or not finite.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration {s}");
-        SimDuration((s * MICROS_PER_SEC as f64).round() as u64)
+        SimDuration(round_to_u64(s * MICROS_PER_SEC as f64))
     }
 
     /// Raw microseconds.
@@ -157,7 +171,7 @@ impl SimDuration {
     /// Panics if `f` is negative or not finite.
     pub fn mul_f64(self, f: f64) -> SimDuration {
         assert!(f.is_finite() && f >= 0.0, "invalid factor {f}");
-        SimDuration((self.0 as f64 * f).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * f))
     }
 
     /// The larger of two durations.
@@ -280,6 +294,50 @@ mod tests {
         assert_eq!(SimTime::from_secs_f64(1e-6).as_micros(), 1);
         assert_eq!(SimTime::from_secs_f64(0.4e-6).as_micros(), 0);
         assert_eq!(SimTime::from_secs_f64(0.6e-6).as_micros(), 1);
+    }
+
+    #[test]
+    fn round_to_u64_matches_f64_round() {
+        let exact = |x: f64| assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        for k in 0..1_000u64 {
+            let half = k as f64 + 0.5;
+            exact(half);
+            exact(f64::from_bits(half.to_bits() - 1));
+            exact(f64::from_bits(half.to_bits() + 1));
+            exact(k as f64);
+        }
+        exact(0.49999999999999994);
+        exact(0.5);
+        exact(-0.0);
+        for e in [51, 52, 53, 63, 64, 65, 100, 1023] {
+            let p = 2f64.powi(e);
+            for bits in [
+                p.to_bits() - 2,
+                p.to_bits() - 1,
+                p.to_bits(),
+                p.to_bits() + 1,
+            ] {
+                let x = f64::from_bits(bits);
+                exact(x);
+                exact(x + 0.5);
+                exact(x - 0.5);
+            }
+        }
+        exact(f64::MAX);
+        // Seeded sweep over magnitudes (xorshift64).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let mantissa = (state >> 11) as f64 / (1u64 << 53) as f64;
+            let scale = 2f64.powi((state % 70) as i32 - 4);
+            exact(mantissa * scale);
+            let any_positive = f64::from_bits(state >> 1);
+            if any_positive.is_finite() {
+                exact(any_positive);
+            }
+        }
     }
 
     #[test]
