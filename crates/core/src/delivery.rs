@@ -6,7 +6,7 @@
 //! one token each, and finished requests release their KV and leave every
 //! queue.
 
-use tokenflow_kv::KvManager;
+use tokenflow_kv::{KvManager, ReplayBatch};
 use tokenflow_metrics::{effective_weight, qos_token_weight, QosParams, TimeSeries};
 use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_trace::{TraceEventKind, TraceSink};
@@ -110,6 +110,45 @@ pub(crate) fn deliver_decode(
         delivered += 1;
     }
     delivered
+}
+
+/// The delivery side of a replayed run of decode steps, one pass per
+/// member: `times` holds the run's step boundaries (its start, then each
+/// step's end), and each member receives one token per step exactly as
+/// [`deliver_decode`] and [`deliver_token`] hand them out — the buffer
+/// read at the step's start prices the append, the read at its end weighs
+/// the token — and then commits the run's KV effects. No member finishes
+/// and every member has started, so no decision event or trace event
+/// arises.
+pub(crate) fn deliver_replayed(
+    st: &mut EngineState,
+    kv: &mut KvManager,
+    batch: &ReplayBatch,
+    decode: &[RequestId],
+    times: &[SimTime],
+    qos: &QosParams,
+) {
+    let steps = times.len().saturating_sub(1) as u64;
+    kv.replay_requeue(batch, steps);
+    for &id in decode {
+        let s = st.state_mut(id);
+        let output = s.spec.output_tokens;
+        let mut priority = 0;
+        for (&start, &end) in times.iter().zip(times.iter().skip(1)) {
+            priority = s.buffer.buffered(start);
+            let buffered_before = s.buffer.buffered(end);
+            s.generated += 1;
+            s.buffer.on_token(end);
+            s.metrics.effective_tokens += effective_weight(buffered_before, output);
+            s.metrics.qos_weight_sum += qos_token_weight(buffered_before, output, qos);
+            if let Some(tl) = s.timeline.as_mut() {
+                tl.record(end, s.generated);
+            }
+        }
+        debug_assert!(s.generated < output);
+        s.metrics.generated = s.generated;
+        kv.replay_commit(id, steps, priority as f64);
+    }
 }
 
 /// Hands one token to a request's client buffer, updating metrics and —

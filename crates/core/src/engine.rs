@@ -15,11 +15,16 @@
 //! The engine itself only owns the components and the clock; all stage
 //! logic lives in the stage modules, which is what lets the cluster crate
 //! drive many replicas of this loop on one simulated timeline.
+//!
+//! [`Engine::step_until`] and [`Engine::run_to_completion`] also replay
+//! quiescent decode stretches under a static plan horizon many steps per
+//! call, with the same result as stepping them one by one (see
+//! `Engine::replay`).
 
 use tokenflow_client::TokenBuffer;
-use tokenflow_kv::{Direction, KvConfig, KvManager, WriteFlushStats};
+use tokenflow_kv::{Direction, KvConfig, KvManager, ReplayBatch, WriteFlushStats};
 use tokenflow_metrics::{RequestMetrics, RunReport, TokenTimeline};
-use tokenflow_model::CostModel;
+use tokenflow_model::{CostModel, IterationSpec};
 use tokenflow_sched::{PlanNote, SchedContext, SchedContextBuilder, Scheduler};
 use tokenflow_sim::{Clock, EventQueue, RequestId, SimDuration, SimTime};
 use tokenflow_trace::{HorizonEndReason, TraceEventKind, TraceSink, TraceSource};
@@ -72,7 +77,19 @@ pub struct FastPathStats {
     pub horizons_invalidated: u64,
     /// Horizons that ran to their certified expiry time.
     pub horizons_expired: u64,
+    /// Runs of steps that [`Engine::step_until`] or
+    /// [`Engine::run_to_completion`] replayed at once under a static
+    /// horizon.
+    pub replays: u64,
+    /// Steps those replays covered (each also counts as a fast step).
+    pub replayed_steps: u64,
 }
+
+/// Most steps one replay pass covers before its members take delivery:
+/// the step boundaries wait in a retained buffer of this many entries
+/// (plus one), so a long horizon replays in several passes rather than
+/// growing the buffer.
+const REPLAY_PASS_STEPS: usize = 64;
 
 /// An armed plan-horizon certificate: the scheduler's horizon plus the
 /// decision-epoch snapshot it was issued under. Valid while the clock
@@ -146,6 +163,15 @@ pub struct Engine {
     kv_events: Vec<tokenflow_kv::KvEvent>,
     /// Fast-path counters.
     fast_stats: FastPathStats,
+    /// The decode batch of the replayed run, as the KV manager read it.
+    replay_batch: ReplayBatch,
+    /// Boundaries of the steps in the current replay pass: its start,
+    /// then each step's end.
+    replay_times: Vec<SimTime>,
+    /// Outcome buffer of the loops in [`Engine::step_until`] and
+    /// [`Engine::run_to_completion`], retained so the cluster's per-epoch
+    /// calls allocate nothing.
+    loop_out: StepOutcome,
     /// Compute slowdown multiplier on iteration times (`1.0` = healthy).
     /// Fault injection sets it over a straggler window; while it is not
     /// `1.0` the plan-horizon fast path stays disarmed, so degraded
@@ -214,6 +240,9 @@ impl Engine {
             running_ctx_idx: Vec::new(),
             kv_events: Vec::new(),
             fast_stats: FastPathStats::default(),
+            replay_batch: ReplayBatch::default(),
+            replay_times: Vec::new(),
+            loop_out: StepOutcome::default(),
             slowdown: 1.0,
             trace: if config.trace {
                 TraceSink::enabled(TraceSource::Replica(0))
@@ -817,6 +846,122 @@ impl Engine {
         outcome.now = wake;
     }
 
+    /// Replays the armed horizon many steps at once, when it can, and
+    /// says whether it advanced. The steps are exactly the fast steps
+    /// [`Engine::step_into`] would run from here: the horizon's gates are
+    /// static, no transfer flip is journaled, no compute slowdown is set,
+    /// no transfer is in flight and the write queue holds one token per
+    /// decode member (see [`KvManager::replay_start`]). Inside such a run
+    /// only the clock and per-member counters move, so one scalar pass
+    /// prices the steps and runs their KV, profiler and telemetry effects,
+    /// and one pass per member then delivers its tokens.
+    ///
+    /// The run stops before the first step that would ingest an arrival,
+    /// reach the horizon's `valid_until`, finish a member, fail the memory
+    /// pre-check or have its write-through span declined, and after the
+    /// step whose end reaches `until` or that brings the iteration count
+    /// to `max_iterations`. The step the run stopped before is the
+    /// caller's next regular step.
+    fn replay(&mut self, until: SimTime, max_iterations: u64) -> bool {
+        let now = self.clock.now();
+        let Some(h) = self.horizon else {
+            return false;
+        };
+        if !h.gates_static
+            || h.epoch != self.st.decision_epoch
+            || now >= h.valid_until
+            || self.slowdown != 1.0
+            || !self.st.transfer_flips.is_empty()
+            || self.arrivals.peek_time().is_some_and(|t| t <= now)
+            || self.iter_batch.decode.is_empty()
+            || !self.iter_batch.prefill.is_empty()
+        {
+            return false;
+        }
+        let mut context = 0;
+        let mut max_steps = u64::MAX;
+        for &id in &self.iter_batch.decode {
+            let s = self.st.state(id);
+            if s.phase != Phase::Running || s.metrics.first_token_at.is_none() {
+                return false;
+            }
+            context += s.context_tokens();
+            // The step that delivers a member's last token finishes it.
+            max_steps = max_steps.min(s.remaining_tokens().saturating_sub(1));
+        }
+        if max_steps == 0
+            || !self
+                .kv
+                .replay_start(&self.iter_batch.decode, &mut self.replay_batch)
+        {
+            return false;
+        }
+        let members = self.iter_batch.decode.len() as u64;
+        let mut steps = 0;
+        let mut stopped = false;
+        while !stopped {
+            self.replay_times.clear();
+            self.replay_times.reserve_exact(REPLAY_PASS_STEPS + 1);
+            self.replay_times.push(self.clock.now());
+            while !stopped && self.replay_times.len() <= REPLAY_PASS_STEPS {
+                let t = self.clock.now();
+                if steps == max_steps
+                    || t >= h.valid_until
+                    || !self.st.transfer_flips.is_empty()
+                    || self.arrivals.peek_time().is_some_and(|a| a <= t)
+                {
+                    stopped = true;
+                    break;
+                }
+                let spec = IterationSpec {
+                    prefill_tokens: 0,
+                    prefill_past_tokens: 0,
+                    prefill_seqs: 0,
+                    decode_batch: members as u32,
+                    decode_context: context + steps * members,
+                };
+                let iter_time = self.cost.iteration_time(&spec);
+                if !self.kv.replay_step(&self.replay_batch, steps, t, iter_time) {
+                    stopped = true;
+                    break;
+                }
+                let end = self.clock.advance(iter_time);
+                kv_orchestrator::apply_transfers(
+                    &mut self.st,
+                    &mut self.kv,
+                    end,
+                    &mut self.kv_events,
+                    &mut self.trace,
+                );
+                self.profs.prefill_rate.record(end, 0);
+                self.profs.decode.record(end, members);
+                self.telemetry.sample(&self.st, &self.kv, end);
+                self.iterations += 1;
+                self.replay_times.push(end);
+                steps += 1;
+                stopped = end >= until || self.iterations >= max_iterations;
+            }
+            // A pass that stopped before its first step delivers nothing.
+            if self.replay_times.len() > 1 {
+                delivery::deliver_replayed(
+                    &mut self.st,
+                    &mut self.kv,
+                    &self.replay_batch,
+                    &self.iter_batch.decode,
+                    &self.replay_times,
+                    &self.config.qos,
+                );
+            }
+        }
+        if steps == 0 {
+            return false;
+        }
+        self.fast_stats.fast_steps += steps;
+        self.fast_stats.replays += 1;
+        self.fast_stats.replayed_steps += steps;
+        true
+    }
+
     /// Advances the engine until its clock reaches `deadline`, every
     /// submitted request finishes, or the engine goes fully idle (nothing
     /// submitted, nothing in flight). Returns whether every submitted
@@ -826,45 +971,69 @@ impl Engine {
     /// between two arrival barriers a replica is advanced to the next
     /// barrier time with exactly the same step semantics as
     /// [`Engine::step`] in a hand-written loop, so sequential and parallel
-    /// cluster execution stay step-for-step identical. An engine whose
-    /// clock is already at or past `deadline` is left untouched.
+    /// cluster execution stay step-for-step identical. Quiescent decode
+    /// stretches under a static plan horizon are replayed many steps per
+    /// call (see `DESIGN.md` §3, "Replaying a static horizon"), with the
+    /// same result as stepping them one by one. An engine whose clock is
+    /// already at or past `deadline` is left untouched. Allocates nothing
+    /// on the steady decode path: the loop's outcome buffer is retained.
     pub fn step_until(&mut self, deadline: SimTime) -> bool {
-        let mut out = StepOutcome::default();
-        loop {
+        let mut out = std::mem::take(&mut self.loop_out);
+        let mut may_replay = true;
+        let finished = loop {
             if self.st.all_finished() && self.arrivals.is_empty() {
-                return true;
+                break true;
             }
             if self.clock.now() >= deadline {
-                return false;
+                break false;
             }
+            // A replay ends where a regular step must run next.
+            if may_replay && self.replay(deadline, u64::MAX) {
+                may_replay = false;
+                continue;
+            }
+            may_replay = true;
             // Every non-done step advances the clock (idle steps
             // fast-forward at least one tick while work remains), so the
             // loop terminates at the deadline.
             self.step_into(&mut out);
             if out.done {
-                return true;
+                break true;
             }
-        }
+        };
+        self.loop_out = out;
+        finished
     }
 
     /// Runs until every submitted request completes, the safety deadline
     /// passes, or the iteration cap ([`EngineConfig::max_iterations`])
-    /// trips — and says which.
+    /// trips — and says which. Replays static plan horizons as
+    /// [`Engine::step_until`] does.
     pub fn run_to_completion(&mut self) -> Completion {
         let deadline = SimTime::ZERO + self.config.deadline;
-        let mut out = StepOutcome::default();
-        loop {
-            self.step_into(&mut out);
-            if out.done {
-                return Completion::Finished;
+        let max_iterations = self.config.max_iterations;
+        let mut out = std::mem::take(&mut self.loop_out);
+        let mut may_replay = true;
+        let completion = loop {
+            if may_replay && self.replay(deadline, max_iterations) {
+                // No replayed step finishes a request.
+                may_replay = false;
+            } else {
+                may_replay = true;
+                self.step_into(&mut out);
+                if out.done {
+                    break Completion::Finished;
+                }
             }
-            if out.now >= deadline {
-                return Completion::Deadline;
+            if self.clock.now() >= deadline {
+                break Completion::Deadline;
             }
-            if self.iterations >= self.config.max_iterations {
-                return Completion::IterationCap;
+            if self.iterations >= max_iterations {
+                break Completion::IterationCap;
             }
-        }
+        };
+        self.loop_out = out;
+        completion
     }
 
     /// Runs a complete workload through the engine and collects every
@@ -1026,6 +1195,134 @@ impl Engine {
             completion,
             iterations: self.iterations,
             trace: self.trace.into_journal(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use tokenflow_model::{HardwareProfile, ModelProfile};
+    use tokenflow_sched::{AndesScheduler, FcfsScheduler, TokenFlowScheduler};
+
+    use super::*;
+
+    /// Everything a replay reads or writes, rendered whole: the clock,
+    /// the request table (buffers, metrics, timelines), the KV manager
+    /// (holds, pools, write queue with priorities and sequence numbers,
+    /// PCIe streams), the profilers, the telemetry and the horizon. The
+    /// public differential suite compares outputs; this compares the
+    /// state that later steps would read.
+    fn state(e: &Engine) -> String {
+        format!(
+            "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{} {}",
+            e.clock.now(),
+            e.st,
+            e.kv,
+            e.profs,
+            e.telemetry,
+            e.horizon,
+            e.iter_batch,
+            e.iterations,
+            e.fast_stats.fast_steps,
+        )
+    }
+
+    /// [`Engine::step_until`] one `step_into` at a time.
+    fn reference_until(e: &mut Engine, barrier: SimTime) -> bool {
+        let mut out = StepOutcome::default();
+        loop {
+            if e.st.all_finished() && e.arrivals.is_empty() {
+                return true;
+            }
+            if e.clock.now() >= barrier {
+                return false;
+            }
+            e.step_into(&mut out);
+            if out.done {
+                return true;
+            }
+        }
+    }
+
+    /// Twin engines advanced barrier to barrier, one replaying and one
+    /// stepping, must hold the same state at every barrier — through
+    /// bursts, preemption traffic, FIFO writes, a slowed link whose spans
+    /// get declined and a host pool that fills up.
+    #[test]
+    fn replay_leaves_the_state_stepping_leaves() {
+        // (label, configuration change, link slowdown)
+        type Case = (&'static str, fn(&mut EngineConfig), f64);
+        let configs: [Case; 4] = [
+            ("default", |_| {}, 1.0),
+            (
+                "fifo-pressure",
+                |c| {
+                    c.priority_writes = false;
+                    c.mem_frac = 0.16;
+                },
+                1.0,
+            ),
+            ("slow-link", |_| {}, 60.0),
+            ("tiny-host", |c| c.cpu_pool_factor = 0.002, 1.0),
+        ];
+        for (label, adjust, link_slowdown) in configs {
+            for scheduler in ["fcfs", "andes", "tokenflow"] {
+                let mut config =
+                    EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200());
+                adjust(&mut config);
+                let make = || -> Box<dyn Scheduler> {
+                    match scheduler {
+                        "fcfs" => Box::new(FcfsScheduler::new()),
+                        "andes" => Box::new(AndesScheduler::new()),
+                        _ => Box::new(TokenFlowScheduler::new()),
+                    }
+                };
+                let mut stepped = Engine::from_boxed(config.clone(), make());
+                let mut replayed = Engine::from_boxed(config, make());
+                stepped.set_link_slowdown(link_slowdown);
+                replayed.set_link_slowdown(link_slowdown);
+                let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+                let mut next = move |bound: u64| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    seed % bound
+                };
+                let mut arrival = 0;
+                for _ in 0..90 {
+                    arrival += if next(5) == 0 {
+                        400_000 + next(2_000_000)
+                    } else {
+                        next(20_000)
+                    };
+                    let spec = RequestSpec {
+                        id: RequestId(0),
+                        arrival: SimTime::from_micros(arrival),
+                        prompt_tokens: 16 + next(1_000),
+                        output_tokens: 2 + next(600),
+                        rate: [8.0, 16.0, 30.0][next(3) as usize],
+                    };
+                    stepped.submit(spec);
+                    replayed.submit(spec);
+                }
+                let mut barrier = SimTime::ZERO;
+                loop {
+                    barrier += SimDuration::from_micros(1_000 + next(800_000));
+                    let done = reference_until(&mut stepped, barrier);
+                    assert_eq!(done, replayed.step_until(barrier), "{label}/{scheduler}");
+                    assert!(
+                        state(&stepped) == state(&replayed),
+                        "{label}/{scheduler}: states diverged at barrier {barrier:?}"
+                    );
+                    if done {
+                        break;
+                    }
+                }
+                assert!(
+                    replayed.fast_stats.replayed_steps > 0,
+                    "{label}/{scheduler}: nothing was replayed"
+                );
+            }
         }
     }
 }

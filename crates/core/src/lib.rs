@@ -29,7 +29,10 @@
 //!
 //! Use [`Engine::run`] for one-call experiment runs, or drive an
 //! [`Engine`] step by step for interactive use (see the `quickstart`
-//! example).
+//! example). The loops behind `run` ([`Engine::run_to_completion`]) and
+//! the cluster's epochs ([`Engine::step_until`]) replay quiescent decode
+//! stretches many steps per call; [`Engine::step`] always runs one
+//! iteration and is their reference.
 
 // audit: tier(deterministic)
 #![forbid(unsafe_code)]

@@ -9,11 +9,14 @@
 //! allocator.
 //!
 //! Write-through runs in the window, as on every default engine: each
-//! step's decoded tokens are flushed as one PCIe span, whose member list,
-//! like the write queue and the transfer and completion buffers, is
-//! retained across steps. The window must run on that span path, so the
-//! retained buffers are the ones the served workloads use. The file holds
-//! exactly one `#[test]` so no concurrent test pollutes the counter.
+//! step's decoded tokens are flushed as one PCIe span, and the write
+//! queue and the transfer and completion buffers are retained across
+//! steps. The window must run on that span path, so the retained buffers
+//! are the ones the served workloads use. A second window advances the
+//! same steady state through `Engine::step_until`, which replays the
+//! static horizon many steps per call, and pins that the replay and the
+//! loop around it allocate nothing either. The file holds exactly one
+//! `#[test]` so no concurrent test pollutes the counter.
 //!
 //! The disabled [`TraceSink`] is threaded through every stage of the
 //! measured window (admission, planning, batch, KV, gates), so the
@@ -28,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tokenflow_core::{Engine, EngineConfig, StepOutcome};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_sched::FcfsScheduler;
-use tokenflow_sim::{RequestId, SimTime};
+use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_workload::RequestSpec;
 
 /// Counts every allocation and reallocation; frees are uncounted (a
@@ -129,9 +132,40 @@ fn steady_state_step_allocates_nothing() {
     );
     // The window really did deliver work (one token per member per step).
     assert_eq!(out.delivered.len(), 8);
-    // Tracing-off means *off*: the sink threaded through the measured
-    // window buffered nothing (the zero-alloc assertion above already
-    // proves it allocated nothing).
+
+    // Second window: the same steady state advanced barrier to barrier,
+    // as the cluster advances replicas. `step_until` replays the static
+    // horizon many steps per call, and neither its loop (whose outcome
+    // buffer the engine retains) nor the replay allocates once a first
+    // call has sized the replay's retained buffers.
+    let mut barrier = engine.now();
+    for _ in 0..5 {
+        barrier += SimDuration::from_millis(100);
+        assert!(!engine.step_until(barrier), "no request may finish yet");
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let stats_before = engine.fast_path_stats();
+    let iterations_before = engine.iterations();
+    for _ in 0..50 {
+        barrier += SimDuration::from_millis(100);
+        assert!(!engine.step_until(barrier), "no request may finish yet");
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocs, 0,
+        "steady-state step_until calls must not allocate (got {allocs} allocations over 50 calls)"
+    );
+    let stats = engine.fast_path_stats();
+    let steps = engine.iterations() - iterations_before;
+    let replayed = stats.replayed_steps - stats_before.replayed_steps;
+    assert!(
+        steps >= 200 && replayed >= steps * 9 / 10,
+        "the step_until window should be replayed (replayed {replayed} of {steps} steps)"
+    );
+
+    // Tracing-off means *off*: the sink threaded through both measured
+    // windows buffered nothing (the zero-alloc assertions above already
+    // prove it allocated nothing).
     assert!(
         engine.take_trace_events().is_empty(),
         "untraced engine must record no events"

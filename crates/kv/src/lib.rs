@@ -29,7 +29,9 @@ pub mod pcie;
 pub mod pool;
 pub mod write_queue;
 
-pub use manager::{EvictStart, KvConfig, KvError, KvEvent, KvManager, Residency, WriteFlushStats};
+pub use manager::{
+    EvictStart, KvConfig, KvError, KvEvent, KvManager, ReplayBatch, Residency, WriteFlushStats,
+};
 pub use pcie::{Direction, PcieEngine, TransferCompletion, TransferTag};
 pub use pool::BlockPool;
 pub use write_queue::WriteQueue;

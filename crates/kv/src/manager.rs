@@ -17,6 +17,9 @@
 //!   the whole queue onto the D2H stream, finish inside the window and
 //!   fit the host pool, no read before the window ends can see the order,
 //!   so it sends the pull as one back-to-back transfer and skips the sort.
+//!   A run of such decode steps can also be replayed many at once
+//!   ([`KvManager::replay_start`]): per step only the pools and the PCIe
+//!   stream move, and each member's holds are committed once at the end.
 //! * **Load-evict overlap** (§5.3): resume loads (H2D) run concurrently
 //!   with eviction flushes (D2H) on the independent duplex streams, and
 //!   chunk-granular block recycling lets a load begin before its victim has
@@ -92,6 +95,59 @@ pub struct WriteFlushStats {
     pub span_pulls: u64,
     /// Pulls run through the ordered pump ([`KvManager::pump_writes`]).
     pub ordered_pulls: u64,
+}
+
+/// The decode batch of a replayed run as [`KvManager::replay_start`] read
+/// it: its size and its members' block residues. The caller retains it
+/// across runs and hands it to the run's other replay calls. Step `j` of
+/// the run (from 0) appends a token to every member, which takes a fresh
+/// GPU block when the member's context is then a multiple of the block
+/// size; its span adds the token queued before it to the host hold, which
+/// takes a fresh host block on the same rule.
+#[derive(Debug, Clone, Default)]
+pub struct ReplayBatch {
+    members: u64,
+    /// `gpu[r]`: members whose context is `r` modulo the block size.
+    gpu: Vec<u64>,
+    /// `cpu[r]`: members whose host hold is `r` modulo the block size.
+    cpu: Vec<u64>,
+}
+
+impl ReplayBatch {
+    fn reset(&mut self, members: usize, block_tokens: usize) {
+        self.members = members as u64;
+        self.gpu.clear();
+        self.gpu.resize(block_tokens, 0);
+        self.cpu.clear();
+        self.cpu.resize(block_tokens, 0);
+    }
+
+    fn add(&mut self, context: u64, cpu_hold: u64) {
+        let bt = self.gpu.len().max(1) as u64;
+        if let Some(n) = self.gpu.get_mut((context % bt) as usize) {
+            *n += 1;
+        }
+        if let Some(n) = self.cpu.get_mut((cpu_hold % bt) as usize) {
+            *n += 1;
+        }
+    }
+
+    /// The residue whose members sit on a block boundary at step `step`.
+    fn boundary(&self, step: u64) -> usize {
+        let bt = self.gpu.len().max(1) as u64;
+        ((bt - step % bt) % bt) as usize
+    }
+
+    /// GPU blocks step `step`'s appends allocate: the count the engine's
+    /// per-step memory pre-check compares with the free pool.
+    fn gpu_blocks(&self, step: u64) -> u64 {
+        self.gpu.get(self.boundary(step)).copied().unwrap_or(0)
+    }
+
+    /// Host blocks step `step`'s write-through span reserves.
+    fn cpu_blocks(&self, step: u64) -> u64 {
+        self.cpu.get(self.boundary(step)).copied().unwrap_or(0)
+    }
 }
 
 /// How an eviction started.
@@ -258,9 +314,6 @@ pub struct KvManager {
     completion_scratch: Vec<TransferCompletion>,
     /// Retained chunk buffer for [`KvManager::pump_writes`], same idea.
     chunk_scratch: Vec<WriteChunk>,
-    /// Members of the write span in flight, one per request with all its
-    /// tokens (empty when none is). Retained across spans.
-    span_members: Vec<WriteChunk>,
     flush_stats: WriteFlushStats,
     /// Number of requests in `Loading` residency. Maintained separately
     /// from `loading_order` because the queue holds only loads with
@@ -291,7 +344,6 @@ impl KvManager {
             evicting_count: 0,
             completion_scratch: Vec::new(),
             chunk_scratch: Vec::new(),
-            span_members: Vec::new(),
             flush_stats: WriteFlushStats::default(),
             loading_count: 0,
             config,
@@ -688,24 +740,25 @@ impl KvManager {
     /// The certificate: (a) the window's byte budget drains the whole
     /// queue, (b) every chunk the ordered pump would make, placed back to
     /// back from the D2H stream's start time, finishes by `now + window`,
-    /// and (c) the host pool has blocks for all of them, and no earlier
-    /// span is still in flight. The span lasts the sum of those chunks'
-    /// [`PcieEngine::transfer_time`]s, so each still pays its setup
-    /// latency, and at `now + window` the stream's `free_at` and bytes,
-    /// every hold and every request's state equal the ordered pump's.
+    /// and (c) the host pool has blocks for all of them. The span lasts
+    /// the sum of those chunks' [`PcieEngine::transfer_time`]s, so each
+    /// still pays its setup latency, and at `now + window` the stream's
+    /// `free_at` and bytes, every hold and every request's state equal the
+    /// ordered pump's.
     ///
     /// Caller contract (DESIGN.md §3): nothing reads or mutates KV state
     /// between this call and [`KvManager::advance_into`] at
-    /// `now + window`. Only the completion times of individual chunks
-    /// differ from the ordered pump's, and with every queued request
-    /// GPU-resident their completions emit no events.
+    /// `now + window`. Under it the members can be committed as synced at
+    /// the pull: every chunk of the pull has completed by then, and with
+    /// every queued request GPU-resident a completion only moves `synced`
+    /// and emits no event.
     pub fn pump_writes_as_span(&mut self, now: SimTime, window: SimDuration) -> bool {
         // Nothing is ever queued without write-through.
         let pending = self.write_queue.pending_tokens();
         if pending == 0 {
             return true;
         }
-        if !self.span_members.is_empty() || self.write_budget_tokens(window) < pending {
+        if self.write_budget_tokens(window) < pending {
             return false;
         }
         let (chunk_tokens, bytes_per_token) =
@@ -743,7 +796,6 @@ impl KvManager {
         }
 
         // Hand the blocks just reserved out to their members.
-        let mut members = std::mem::take(&mut self.span_members);
         let mut tokens = 0;
         for item in self.write_queue.items() {
             let Some(s) = self
@@ -755,9 +807,8 @@ impl KvManager {
             };
             s.cpu_blocks += s.extra_cpu_blocks(item.tokens, block_tokens);
             s.cpu_hold += item.tokens;
-            s.wt_inflight += item.tokens;
+            s.synced += item.tokens;
             tokens += item.tokens;
-            members.push(item);
         }
         self.write_queue.clear();
         self.pcie.enqueue_timed(
@@ -767,9 +818,124 @@ impl KvManager {
             TransferTag::WriteSpan,
             now,
         );
-        self.span_members = members;
         self.flush_stats.span_pulls += 1;
         true
+    }
+
+    /// Checks that a decode batch can be replayed many steps at once and
+    /// reads it into `batch`. Holds when no transfer is in
+    /// flight or waiting for GPU space, every member is GPU-resident with
+    /// block-exact holds, and the write queue holds exactly one token per
+    /// member (nothing without write-through): the state
+    /// [`KvManager::pump_writes_as_span`] leaves after a decode step whose
+    /// pull drained the queue. Changes nothing else.
+    ///
+    /// From such a state each replayed step runs [`KvManager::replay_step`]
+    /// and then [`KvManager::advance_into`] to its end; the per-member
+    /// effects are committed afterwards by [`KvManager::replay_requeue`]
+    /// and one [`KvManager::replay_commit`] per member, in batch order.
+    /// Nothing else may touch KV state in between.
+    pub fn replay_start(&self, members: &[RequestId], batch: &mut ReplayBatch) -> bool {
+        let queued = if self.config.write_through {
+            members.len() as u64
+        } else {
+            0
+        };
+        if !self.pcie.is_idle()
+            || !self.loading_order.is_empty()
+            || self.write_queue.pending_tokens() != queued
+        {
+            return false;
+        }
+        let bt = self.config.block_tokens;
+        batch.reset(members.len(), bt as usize);
+        members.iter().all(|&req| {
+            let Some(s) = self.req_state(req) else {
+                return false;
+            };
+            let ready = s.residency() == Residency::Gpu
+                && s.gpu_hold == s.total
+                && s.gpu_blocks == tokens_to_blocks(s.total, bt)
+                && s.cpu_blocks == tokens_to_blocks(s.cpu_hold, bt)
+                && (queued == 0 || self.write_queue.pending_for(req) == 1);
+            batch.add(s.total, s.cpu_hold);
+            ready
+        })
+    }
+
+    /// The KV side of step `step` (from 0) of `batch`'s run, from `now`
+    /// over a compute `window`. Returns `false`, changing nothing, when the
+    /// engine's per-step memory pre-check fails (the members on a block
+    /// boundary outnumber the free GPU blocks) or
+    /// [`KvManager::pump_writes_as_span`] would decline the step's pull;
+    /// otherwise reserves both pools' blocks and enqueues the pull's span
+    /// exactly as that pump would.
+    pub fn replay_step(
+        &mut self,
+        batch: &ReplayBatch,
+        step: u64,
+        now: SimTime,
+        window: SimDuration,
+    ) -> bool {
+        let members = batch.members;
+        let gpu_blocks = batch.gpu_blocks(step);
+        if gpu_blocks > self.gpu.free_blocks() {
+            return false;
+        }
+        if self.config.write_through {
+            // One one-token item per member: each is a chunk of its own.
+            let duration = self.pcie.transfer_time(self.config.kv_bytes_per_token) * members;
+            let start = self.pcie.start_time(Direction::D2H, now);
+            if self.write_budget_tokens(window) < members
+                || start.saturating_add(duration) > now.saturating_add(window)
+                || !self.cpu.try_alloc(batch.cpu_blocks(step))
+            {
+                return false;
+            }
+            self.pcie.enqueue_timed(
+                Direction::D2H,
+                members * self.config.kv_bytes_per_token,
+                duration,
+                TransferTag::WriteSpan,
+                now,
+            );
+            self.flush_stats.span_pulls += 1;
+        }
+        self.gpu.try_alloc(gpu_blocks)
+    }
+
+    /// Empties the write queue ahead of the members' commits after `steps`
+    /// replayed steps: each step's span drained it and each step's appends
+    /// pushed one item per member, so the FIFO sequence moves past all but
+    /// the last step's pushes, which the commits redo.
+    pub fn replay_requeue(&mut self, batch: &ReplayBatch, steps: u64) {
+        if self.config.write_through {
+            self.write_queue.clear();
+            self.write_queue
+                .skip_seq(steps.saturating_sub(1) * batch.members);
+        }
+    }
+
+    /// Commits `steps` replayed decode steps to one member, in batch
+    /// order: its context grows by `steps` tokens on blocks
+    /// [`KvManager::replay_step`] reserved, the spans synced the token
+    /// queued before each step, and the last step's token is queued at
+    /// `priority`, the flush priority its append carried.
+    pub fn replay_commit(&mut self, req: RequestId, steps: u64, priority: f64) {
+        let bt = self.config.block_tokens;
+        let write_through = self.config.write_through;
+        let Some(s) = self.req_state_mut(req) else {
+            return;
+        };
+        s.total += steps;
+        s.gpu_hold = s.total;
+        s.gpu_blocks = tokens_to_blocks(s.total, bt);
+        if write_through {
+            s.cpu_hold += steps;
+            s.synced += steps;
+            s.cpu_blocks = tokens_to_blocks(s.cpu_hold, bt);
+            self.write_queue.push(req, 1, priority);
+        }
     }
 
     fn pump_loads(&mut self, now: SimTime) {
@@ -867,19 +1033,8 @@ impl KvManager {
                     }
                     self.on_load_complete(req, tokens, c.completed_at, events);
                 }
-                TransferTag::WriteSpan => {
-                    // Each member completes as its chunks would have; the
-                    // D2H stream is FIFO, so stale chunks of a reused id
-                    // were absorbed before the span.
-                    let mut members = std::mem::take(&mut self.span_members);
-                    for m in members.drain(..) {
-                        if self.absorb_stale(m.req, m.tokens, StaleKind::Wt) {
-                            continue;
-                        }
-                        self.on_sync_complete(m.req, m.tokens, false, c.completed_at, events);
-                    }
-                    self.span_members = members;
-                }
+                // Its members were committed at the pull.
+                TransferTag::WriteSpan => {}
             }
         }
         self.completion_scratch = completions;
@@ -1104,6 +1259,53 @@ mod tests {
         assert_eq!(kv.write_backlog_tokens(), 12);
         kv.pump_writes(SimTime::ZERO, window);
         assert_eq!(kv.write_backlog_tokens(), 6);
+    }
+
+    /// The replay calls leave exactly the state stepping leaves: per step
+    /// a span pump, an advance to the step's end and one append per
+    /// member. The host pool runs out mid-run, so the run ends at the step
+    /// whose span the pump declines.
+    #[test]
+    fn replay_matches_stepping_until_a_span_is_declined() {
+        let mut cfg = KvConfig::test_config();
+        cfg.cpu_blocks = 12;
+        let members = [r(0), r(1), r(2)];
+        let mut stepped = KvManager::new(cfg);
+        let mut now = SimTime::ZERO;
+        for (i, &m) in members.iter().enumerate() {
+            stepped.on_prefill(m, 30 + 7 * i as u64, now).unwrap();
+        }
+        stepped.pump_writes(now, SimDuration::from_secs(1));
+        now += SimDuration::from_secs(1);
+        stepped.advance_to(now);
+        for &m in &members {
+            stepped.append_token(m, 0.0).unwrap();
+        }
+        let mut replayed = stepped.clone();
+        let mut batch = ReplayBatch::default();
+        assert!(replayed.replay_start(&members, &mut batch));
+
+        let window = SimDuration::from_millis(2);
+        let priority = |step: u64, i: usize| (step * 7 % 5 + i as u64) as f64;
+        let mut steps = 0;
+        while replayed.replay_step(&batch, steps, now, window) {
+            assert!(stepped.pump_writes_as_span(now, window));
+            now += window;
+            assert!(stepped.advance_to(now).is_empty());
+            assert!(replayed.advance_to(now).is_empty());
+            for (i, &m) in members.iter().enumerate() {
+                stepped.append_token(m, priority(steps, i)).unwrap();
+            }
+            steps += 1;
+        }
+        assert!(!stepped.pump_writes_as_span(now, window));
+        assert!(steps > 10, "the run should last a while, got {steps} steps");
+        replayed.replay_requeue(&batch, steps);
+        for (i, &m) in members.iter().enumerate() {
+            replayed.replay_commit(m, steps, priority(steps - 1, i));
+        }
+        assert_eq!(format!("{stepped:?}"), format!("{replayed:?}"));
+        assert!(replayed.check_conservation());
     }
 
     #[test]

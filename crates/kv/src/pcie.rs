@@ -53,8 +53,9 @@ pub enum TransferTag {
         /// Whether this is the final chunk of the load.
         last: bool,
     },
-    /// A whole write-through pull sent as one transfer; the KV manager
-    /// keeps the list of requests it carries.
+    /// A whole write-through pull sent as one transfer. The KV manager
+    /// commits its requests at the pull, so its completion only moves the
+    /// stream's byte counters.
     WriteSpan,
 }
 

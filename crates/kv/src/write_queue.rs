@@ -223,6 +223,13 @@ impl WriteQueue {
         self.pending = 0;
     }
 
+    /// Advances the FIFO sequence counter past `n` pushes that a caller
+    /// has shown would have been flushed before anything could read them
+    /// (a replayed run of steps whose every pull drained the queue).
+    pub(crate) fn skip_seq(&mut self, n: u64) {
+        self.next_seq += n;
+    }
+
     /// Every pending item, one per queued request with all its tokens, in
     /// storage order — not flush order: for callers that have shown the
     /// order is unobservable.
