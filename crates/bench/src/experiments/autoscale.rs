@@ -12,15 +12,10 @@
 //! admission pressure triggers provisioning that lands before the later
 //! waves.
 //!
-//! Every configuration is executed under both the sequential and the
-//! parallel epoch executor and asserted byte-identical — scale
-//! decisions included — before any number is reported. Results are also
-//! emitted as machine-readable JSON (`BENCH_autoscale.json` in the
+//! Results are also emitted as machine-readable JSON (`BENCH_autoscale.json` in the
 //! working directory) for cross-commit trend tooling.
 
-use std::num::NonZeroUsize;
-
-use tokenflow_cluster::{BacklogAwareRouter, ClusterEngine, ClusterOutcome, Execution};
+use tokenflow_cluster::{BacklogAwareRouter, ClusterEngine, ClusterOutcome};
 use tokenflow_control::{ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy};
 use tokenflow_core::EngineConfig;
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -29,7 +24,7 @@ use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::Workload;
 
-use crate::experiments::{assert_executor_invariant, crowd_wave_trace, fixed};
+use crate::experiments::{crowd_wave_trace, fixed};
 use crate::table::{f, Table};
 
 /// One fleet configuration's results on the stress trace.
@@ -172,33 +167,21 @@ fn row_from(fleet: &str, out: &ClusterOutcome, static_size: Option<usize>) -> Au
 }
 
 /// Runs the sweep: the static baseline plus one autoscaled fleet per
-/// shipped policy, each under both executors (asserted byte-identical —
-/// an autoscale number from a broken determinism contract is worse than
-/// no number).
-///
-/// # Panics
-///
-/// Panics if any configuration diverges across executors.
-pub fn autoscale_sweep(setup: &AutoscaleSetup, workers: NonZeroUsize) -> Vec<AutoscaleRow> {
+/// shipped policy.
+pub fn autoscale_sweep(setup: &AutoscaleSetup) -> Vec<AutoscaleRow> {
     let workload = setup.workload();
     let mut rows = Vec::new();
 
-    let static_run = |execution: Execution| {
-        ClusterEngine::new(
-            config(),
-            setup.static_fleet,
-            BacklogAwareRouter::new(),
-            || Box::new(TokenFlowScheduler::new()),
-        )
-        .with_execution(execution)
-        .run(&workload)
-    };
-    let seq = static_run(Execution::Sequential);
-    let par = static_run(Execution::Parallel(workers));
-    assert_executor_invariant(&seq, &par, "static");
+    let static_run = ClusterEngine::new(
+        config(),
+        setup.static_fleet,
+        BacklogAwareRouter::new(),
+        || Box::new(TokenFlowScheduler::new()),
+    )
+    .run(&workload);
     rows.push(row_from(
         &format!("static-{}", setup.static_fleet),
-        &seq,
+        &static_run,
         Some(setup.static_fleet),
     ));
 
@@ -216,18 +199,13 @@ pub fn autoscale_sweep(setup: &AutoscaleSetup, workers: NonZeroUsize) -> Vec<Aut
         }),
     ];
     for (name, make) in policies {
-        let elastic_run = |execution: Execution| {
+        let elastic_run =
             ClusterEngine::new(config(), setup.bootstrap, BacklogAwareRouter::new(), || {
                 Box::new(TokenFlowScheduler::new())
             })
             .with_autoscaler(make(), control(setup))
-            .with_execution(execution)
-            .run(&workload)
-        };
-        let seq = elastic_run(Execution::Sequential);
-        let par = elastic_run(Execution::Parallel(workers));
-        assert_executor_invariant(&seq, &par, name);
-        rows.push(row_from(name, &seq, None));
+            .run(&workload);
+        rows.push(row_from(name, &elastic_run, None));
     }
     rows
 }
@@ -316,8 +294,7 @@ pub fn autoscale_json(setup: &AutoscaleSetup, rows: &[AutoscaleRow]) -> String {
 /// `BENCH_autoscale.json`.
 pub fn autoscale() -> String {
     let setup = AutoscaleSetup::headline();
-    let workers = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
-    let rows = autoscale_sweep(&setup, workers);
+    let rows = autoscale_sweep(&setup);
 
     let json = autoscale_json(&setup, &rows);
     let json_note = match std::fs::write("BENCH_autoscale.json", &json) {
@@ -329,10 +306,9 @@ pub fn autoscale() -> String {
     let mut s = format!(
         "Diurnal day ({} s, peak {} req/s) with a {}-request flash crowd ramping\n\
          over {} s; backlog-aware routing, TokenFlow scheduling, elastic fleets\n\
-         bounded to [{}, {}] replicas with a {:.0} s boot delay. Sequential and\n\
-         parallel executors asserted byte-identical (scale decisions included)\n\
-         per configuration. The bill is replica-seconds; the envelope is the\n\
-         static fleet's p99 TTFT and rebuffer.\n\n",
+         bounded to [{}, {}] replicas with a {:.0} s boot delay. The bill is\n\
+         replica-seconds; the envelope is the static fleet's p99 TTFT and\n\
+         rebuffer.\n\n",
         setup.duration.as_secs_f64(),
         setup.base_peak_rate,
         setup.crowd,
@@ -396,10 +372,9 @@ mod tests {
     #[test]
     fn smoke_sweep_meets_the_envelope() {
         // The scaled-down sweep must already show the headline claim:
-        // fewer replica-seconds at matched QoS, byte-invariant across
-        // executors (asserted inside the sweep).
+        // fewer replica-seconds at matched QoS.
         let setup = AutoscaleSetup::smoke();
-        let rows = autoscale_sweep(&setup, NonZeroUsize::new(2).unwrap());
+        let rows = autoscale_sweep(&setup);
         assert_eq!(rows.len(), 3);
         let baseline = &rows[0];
         assert!(baseline.complete);

@@ -10,15 +10,10 @@
 //! tail latency — a retried request keeps its original arrival time, so
 //! its TTFT honestly includes the backoff and the re-prefill.
 //!
-//! Every configuration is executed under both the sequential and the
-//! parallel epoch executor and asserted byte-identical — fault and
-//! recovery accounting included — before any number is reported.
 //! Results are also emitted as machine-readable JSON (`BENCH_fault.json`
 //! in the working directory) for cross-commit trend tooling.
 
-use std::num::NonZeroUsize;
-
-use tokenflow_cluster::{BacklogAwareRouter, ClusterEngine, ClusterOutcome, Execution};
+use tokenflow_cluster::{BacklogAwareRouter, ClusterEngine, ClusterOutcome};
 use tokenflow_core::EngineConfig;
 use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy};
 use tokenflow_model::{HardwareProfile, ModelProfile};
@@ -27,7 +22,7 @@ use tokenflow_sched::TokenFlowScheduler;
 use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::Workload;
 
-use crate::experiments::{assert_executor_invariant, crowd_wave_trace, fixed};
+use crate::experiments::{crowd_wave_trace, fixed};
 use crate::table::{f, Table};
 
 /// One configuration's results on the crash trace.
@@ -165,28 +160,17 @@ fn row_from(config: &str, out: &ClusterOutcome) -> FaultRow {
     }
 }
 
-/// Runs the three-way comparison — healthy, crash-with-recovery,
-/// crash-without-retries — each under both executors (asserted
-/// byte-identical, fault accounting included).
-///
-/// # Panics
-///
-/// Panics if any configuration diverges across executors.
-pub fn fault_sweep(setup: &FaultSetup, workers: NonZeroUsize) -> Vec<FaultRow> {
+/// Runs the three-way comparison: healthy, crash-with-recovery,
+/// crash-without-retries.
+pub fn fault_sweep(setup: &FaultSetup) -> Vec<FaultRow> {
     let workload = setup.workload();
     let mut rows = Vec::new();
 
-    let healthy = |execution: Execution| {
-        ClusterEngine::new(config(), setup.fleet, BacklogAwareRouter::new(), || {
-            Box::new(TokenFlowScheduler::new())
-        })
-        .with_execution(execution)
-        .run(&workload)
-    };
-    let seq = healthy(Execution::Sequential);
-    let par = healthy(Execution::Parallel(workers));
-    assert_executor_invariant(&seq, &par, "healthy");
-    rows.push(row_from("healthy", &seq));
+    let healthy = ClusterEngine::new(config(), setup.fleet, BacklogAwareRouter::new(), || {
+        Box::new(TokenFlowScheduler::new())
+    })
+    .run(&workload);
+    rows.push(row_from("healthy", &healthy));
 
     let plans = [
         ("crash", RetryPolicy::default()),
@@ -199,18 +183,12 @@ pub fn fault_sweep(setup: &FaultSetup, workers: NonZeroUsize) -> Vec<FaultRow> {
         ),
     ];
     for (name, retry) in plans {
-        let faulted = |execution: Execution| {
-            ClusterEngine::new(config(), setup.fleet, BacklogAwareRouter::new(), || {
-                Box::new(TokenFlowScheduler::new())
-            })
-            .with_fault_plan(setup.plan(retry))
-            .with_execution(execution)
-            .run(&workload)
-        };
-        let seq = faulted(Execution::Sequential);
-        let par = faulted(Execution::Parallel(workers));
-        assert_executor_invariant(&seq, &par, name);
-        rows.push(row_from(name, &seq));
+        let faulted = ClusterEngine::new(config(), setup.fleet, BacklogAwareRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .with_fault_plan(setup.plan(retry))
+        .run(&workload);
+        rows.push(row_from(name, &faulted));
     }
     rows
 }
@@ -269,8 +247,7 @@ pub fn fault_json(setup: &FaultSetup, rows: &[FaultRow]) -> String {
 /// retries) on the flash-crowd trace, JSON in `BENCH_fault.json`.
 pub fn fault() -> String {
     let setup = FaultSetup::headline();
-    let workers = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
-    let rows = fault_sweep(&setup, workers);
+    let rows = fault_sweep(&setup);
 
     let json = fault_json(&setup, &rows);
     let json_note = match std::fs::write("BENCH_fault.json", &json) {
@@ -283,10 +260,8 @@ pub fn fault() -> String {
          over {} s; {} replicas, backlog-aware routing, TokenFlow scheduling.\n\
          Replica {} fail-stops at {:.0} s — five seconds into the crowd — and\n\
          lost requests are retried with exponential backoff (or abandoned\n\
-         outright in the no-retry row). Sequential and parallel executors\n\
-         asserted byte-identical per configuration, fault accounting included.\n\
-         Retried requests keep their original arrival, so p99 TTFT honestly\n\
-         prices the disruption.\n\n",
+         outright in the no-retry row). Retried requests keep their original\n\
+         arrival, so p99 TTFT honestly prices the disruption.\n\n",
         setup.duration.as_secs_f64(),
         setup.base_peak_rate,
         setup.crowd,
@@ -349,7 +324,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_shows_recovery_and_abandonment() {
-        let rows = fault_sweep(&FaultSetup::smoke(), NonZeroUsize::new(2).unwrap());
+        let rows = fault_sweep(&FaultSetup::smoke());
         assert_eq!(rows.len(), 3);
 
         let healthy = &rows[0];

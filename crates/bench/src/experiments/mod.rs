@@ -7,7 +7,6 @@
 //! numbers (the substrate is an analytical simulator, not the authors'
 //! testbed).
 
-use tokenflow_cluster::ClusterOutcome;
 use tokenflow_scenario::json::{self, Json};
 use tokenflow_sim::{SimDuration, SimTime};
 use tokenflow_workload::{diurnal_flash_crowd, RateDist, Workload};
@@ -16,7 +15,6 @@ pub mod autoscale;
 pub mod cluster;
 pub mod e2e;
 pub mod fault;
-pub mod fleet;
 pub mod hotpath;
 pub mod kvmem;
 pub mod micro;
@@ -132,11 +130,6 @@ pub fn all() -> Vec<Experiment> {
             run: cluster::cluster_burst,
         },
         Experiment {
-            id: "fleet",
-            title: "Fleet scaling: 1-32 replicas, sequential vs pooled executors",
-            run: fleet::fleet,
-        },
-        Experiment {
             id: "autoscale",
             title: "Elastic fleet: replica-seconds vs static-32 at matched QoS",
             run: autoscale::autoscale,
@@ -208,35 +201,6 @@ pub(crate) fn crowd_wave_trace(
         ));
     }
     Workload::merge(parts)
-}
-
-/// Asserts that a configuration ran byte-identically under the
-/// sequential and the parallel executor: routing, scale decisions, the
-/// merged report and fleet accounting. The canonical report leaves out
-/// only the pool's own counters, and `faults` rides inside it, so fault
-/// and recovery accounting is covered too.
-///
-/// # Panics
-///
-/// Panics on the first divergence, naming `label`.
-pub(crate) fn assert_executor_invariant(seq: &ClusterOutcome, par: &ClusterOutcome, label: &str) {
-    assert_eq!(
-        seq.assignments, par.assignments,
-        "{label}: assignment divergence across executors"
-    );
-    assert_eq!(
-        seq.scale_events, par.scale_events,
-        "{label}: scale-decision divergence across executors"
-    );
-    assert_eq!(
-        seq.merged.digest(),
-        par.merged.digest(),
-        "{label}: merged-report divergence across executors"
-    );
-    assert_eq!(
-        seq.fleet, par.fleet,
-        "{label}: fleet-accounting divergence across executors"
-    );
 }
 
 /// Asserts that `doc` carries every key in `keys`; `at` names the

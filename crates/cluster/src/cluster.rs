@@ -16,9 +16,19 @@ use tokenflow_sim::{RequestId, SimDuration, SimTime};
 use tokenflow_trace::{TraceEvent, TraceEventKind, TraceJournal, TraceSink, TraceSource};
 use tokenflow_workload::{RequestSpec, Workload};
 
-use crate::executor::{self, Execution, ExecutorStats};
-use crate::pool::WorkerPool;
 use crate::router::Router;
+
+/// The epoch executor a caller asked for. Every value runs the same
+/// sequential epoch loop: the type survives so that callers written
+/// against the old `with_execution` builder still compile, and it has
+/// one variant because there is one executor (DESIGN.md, "One
+/// executor").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Execution {
+    /// Advance busy replicas one after another on the calling thread.
+    #[default]
+    Sequential,
+}
 
 /// Where one cluster request ended up. An [`Assignment`]'s position in
 /// [`ClusterOutcome::assignments`] is the request's index in cluster
@@ -111,15 +121,13 @@ struct FaultRuntime {
 /// [`load_snapshot`](Engine::load_snapshot)); between barriers — up to
 /// the next arrival, or the final drain — replicas never observe each
 /// other, so each advances independently through
-/// [`Engine::step_until`]. [`ClusterEngine::with_execution`] chooses
-/// whether that independent work runs sequentially or on a persistent
-/// worker pool; the choice cannot affect any outcome byte
-/// (see [`Execution`]).
+/// [`Engine::step_until`], one replica after another on the calling
+/// thread.
 ///
 /// # Examples
 ///
 /// ```
-/// use tokenflow_cluster::{ClusterEngine, Execution, LeastLoadedRouter};
+/// use tokenflow_cluster::{ClusterEngine, LeastLoadedRouter};
 /// use tokenflow_core::EngineConfig;
 /// use tokenflow_model::{HardwareProfile, ModelProfile};
 /// use tokenflow_sched::FcfsScheduler;
@@ -129,8 +137,7 @@ struct FaultRuntime {
 /// let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::h200());
 /// let mut cluster = ClusterEngine::new(config, 2, LeastLoadedRouter::new(), || {
 ///     Box::new(FcfsScheduler::new())
-/// })
-/// .with_execution(Execution::parallel(2));
+/// });
 /// cluster.submit_workload(&Workload::new(vec![RequestSpec {
 ///     id: RequestId(0),
 ///     arrival: SimTime::ZERO,
@@ -148,7 +155,6 @@ pub struct ClusterEngine {
     router: Box<dyn Router>,
     scheduler_factory: SchedulerFactory,
     plane: Option<ControlPlane>,
-    execution: Execution,
     /// Undispatched requests, sorted by arrival (submission order).
     pending: VecDeque<RequestSpec>,
     /// Per-replica "all submitted work finished" flags from the last
@@ -161,10 +167,6 @@ pub struct ClusterEngine {
     /// or synthetic), so the plane's reaction latency during arrival
     /// gaps is bounded by one tick.
     next_tick: Option<SimTime>,
-    /// The persistent worker pool behind [`Execution::Parallel`],
-    /// created on the first parallel epoch and reused for the rest of
-    /// the run.
-    pool: Option<WorkerPool>,
     /// Epochs run so far.
     epochs: u64,
     /// Coordinator-side decision journal: one [`TraceEventKind::Dispatch`]
@@ -189,9 +191,7 @@ pub struct ClusterEngine {
 
 impl ClusterEngine {
     /// Creates a cluster of `replicas` engines sharing one configuration,
-    /// each with its own scheduler instance from `scheduler_factory`,
-    /// using sequential epoch execution (see
-    /// [`with_execution`](ClusterEngine::with_execution)).
+    /// each with its own scheduler instance from `scheduler_factory`.
     ///
     /// # Panics
     ///
@@ -218,11 +218,9 @@ impl ClusterEngine {
             router: Box::new(router),
             scheduler_factory: Box::new(scheduler_factory),
             plane: None,
-            execution: Execution::Sequential,
             pending: VecDeque::new(),
             assignments: Vec::new(),
             next_tick: None,
-            pool: None,
             epochs: 0,
             trace: if config.trace {
                 TraceSink::enabled(TraceSource::Coordinator)
@@ -236,11 +234,10 @@ impl ClusterEngine {
         }
     }
 
-    /// Sets the epoch execution strategy. Sequential and parallel
-    /// execution produce byte-identical outcomes; parallel execution only
-    /// changes how much wall-clock time a many-replica simulation costs.
-    pub fn with_execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
+    /// Does nothing: every cluster runs the one sequential epoch loop.
+    /// Kept so callers written against the old executor option still
+    /// compile; new code should not call it.
+    pub fn with_execution(self, _execution: Execution) -> Self {
         self
     }
 
@@ -304,11 +301,6 @@ impl ClusterEngine {
             gamma,
         });
         self
-    }
-
-    /// The current epoch execution strategy.
-    pub fn execution(&self) -> Execution {
-        self.execution
     }
 
     /// Number of managed replicas (including provisioning, draining, and
@@ -528,10 +520,9 @@ impl ClusterEngine {
         }
     }
 
-    /// Applies every fault action due at or before `t`, on the
-    /// coordinator thread with all replica clocks at (not beyond) the
-    /// barrier — the same contract arrival barriers have, which is what
-    /// keeps fault injection byte-invariant across epoch executors.
+    /// Applies every fault action due at or before `t`, with all replica
+    /// clocks at (not beyond) the barrier — the same contract arrival
+    /// barriers have.
     fn apply_due_faults(&mut self, t: SimTime) {
         let actions = match self.fault.as_mut() {
             Some(f) => f.driver.due_actions(t),
@@ -723,11 +714,10 @@ impl ClusterEngine {
 
     /// Runs one arrival-barrier epoch: let the control plane act at the
     /// barrier, dispatch the next due arrival group, then advance every
-    /// busy replica — under the configured [`Execution`] strategy —
-    /// until the next barrier (the following arrival time, or the safety
-    /// deadline on the final drain). Returns `false` once no further
-    /// epoch can make progress: everything is dispatched and finished,
-    /// or every busy replica has reached the deadline.
+    /// busy replica in turn until the next barrier (the following arrival
+    /// time, or the safety deadline on the final drain). Returns `false`
+    /// once no further epoch can make progress: everything is dispatched
+    /// and finished, or every busy replica has reached the deadline.
     pub fn epoch(&mut self) -> bool {
         let deadline = SimTime::ZERO + self.config.deadline;
         let retries_pending = self
@@ -806,13 +796,11 @@ impl ClusterEngine {
                 until = until.min(t);
             }
         }
-        executor::advance_until(
-            &mut self.replicas,
-            &mut self.done,
-            until,
-            self.execution,
-            &mut self.pool,
-        );
+        for (engine, done) in self.replicas.iter_mut().zip(&mut self.done) {
+            if !*done {
+                *done = engine.step_until(until);
+            }
+        }
         self.epochs += 1;
         // Another epoch can make progress while arrivals remain, a retry
         // is waiting for its backoff, or some busy replica still sits
@@ -829,19 +817,6 @@ impl ClusterEngine {
                 .any(|(e, &d)| !d && e.now() < deadline)
     }
 
-    /// Exact executor counters for this run so far: epochs and — once a
-    /// parallel epoch ran — the persistent pool's spawn and submission
-    /// counts. The constant `pool_workers` against
-    /// a growing `pool_submissions` is the observable proof that epochs
-    /// reuse one pool instead of respawning threads.
-    pub fn executor_stats(&self) -> ExecutorStats {
-        ExecutorStats {
-            epochs: self.epochs,
-            pool_workers: self.pool.as_ref().map_or(0, WorkerPool::spawned_workers),
-            pool_submissions: self.pool.as_ref().map_or(0, WorkerPool::submissions),
-        }
-    }
-
     /// Runs epochs until every submitted request completes on its replica
     /// (or a replica hits the configured deadline). Returns whether the
     /// cluster completed.
@@ -852,8 +827,7 @@ impl ClusterEngine {
 
     /// Runs a whole workload through this cluster: submits it, runs
     /// epochs to completion, and finalises — the cluster counterpart of
-    /// [`Engine::run`]. The execution strategy never changes results;
-    /// scale decisions, faults and recovery included.
+    /// [`Engine::run`].
     pub fn run(mut self, workload: &Workload) -> ClusterOutcome {
         self.submit_workload(workload);
         self.run_to_completion();
@@ -875,7 +849,6 @@ impl ClusterEngine {
             let loads: Vec<EngineLoad> = self.replicas.iter().map(|e| e.load_snapshot()).collect();
             plane.close(end, &loads);
         }
-        let exec_stats = self.executor_stats();
         let traced = self.trace.is_enabled();
         let mut trace_parts: Vec<Vec<TraceEvent>> = Vec::new();
         if traced {
@@ -941,12 +914,10 @@ impl ClusterEngine {
             .unwrap_or(SimDuration::ZERO);
         let mut merged = RunReport::from_records(&all_records, duration, &self.config.qos);
         // Fleet-wide runtime counters: sum the per-replica fast-path
-        // numbers, then fill the coordinator-owned executor counters the
+        // numbers, then fill in the coordinator's epoch count, which the
         // replicas cannot see.
         merged.runtime = RuntimeCounters::merged(replicas.iter().map(|o| &o.report.runtime));
-        merged.runtime.epochs = exec_stats.epochs;
-        merged.runtime.pool_workers = exec_stats.pool_workers as u64;
-        merged.runtime.pool_submissions = exec_stats.pool_submissions;
+        merged.runtime.epochs = self.epochs;
         // Merge the decision journals onto one timeline, rewriting each
         // replica's dense local request ids to cluster-global ids (the
         // ids the coordinator's dispatch events already speak). The

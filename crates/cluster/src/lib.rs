@@ -29,35 +29,30 @@
 //!   residents and drop out of epoch stepping once empty.
 //! * [`ClusterEngine::run`] serves a whole workload through whatever
 //!   the builder chain assembled (static or elastic, with or without a
-//!   fault plan, on either executor).
-//! * [`executor`] / [`pool`] — where epochs run: [`Execution::Sequential`]
-//!   walks the replicas on the coordinator thread;
-//!   [`Execution::Parallel`] feeds busy replicas to a persistent,
-//!   condvar-parked [`WorkerPool`] spawned once per run. Both run one
-//!   epoch loop over one barrier sequence, and neither can change a byte
-//!   of any outcome (the equivalence property tests in
-//!   `tests/equivalence.rs` and `tests/pool.rs` hold every shipped router
-//!   to that), so replica count is a *capability*, not a wall-clock cost.
+//!   fault plan).
+//! * Epochs run on the calling thread: [`ClusterEngine::epoch`] advances
+//!   each busy replica in turn. An epoch's replica work is microseconds
+//!   long, too short for a thread pool to pay for its synchronisation
+//!   (DESIGN.md, "One executor"). [`Execution`] survives only so older
+//!   specs and callers that name an executor still build; every value
+//!   runs the same loop.
 //!
 //! Routing decisions consume [`EngineLoad`](tokenflow_core::EngineLoad)
 //! snapshots only, so routers cannot reach into replica internals and the
 //! whole cluster stays deterministic — cluster runs reproduce
-//! bit-for-bit, like single-engine runs, regardless of executor.
+//! bit-for-bit, like single-engine runs.
 //!
-//! See the `cluster_burst` example and the bench suite's `cluster` and
-//! `fleet` experiments for replica-scaling comparisons under the paper's
-//! burst workload.
+//! See the `cluster_burst` example and the bench suite's `cluster`
+//! experiment for replica-scaling comparisons under the paper's burst
+//! workload.
 
 // audit: tier(deterministic)
+#![forbid(unsafe_code)]
 
 pub mod cluster;
-pub mod executor;
-pub mod pool;
 pub mod router;
 
-pub use cluster::{Assignment, ClusterEngine, ClusterOutcome};
-pub use executor::{Execution, ExecutorStats};
-pub use pool::WorkerPool;
+pub use cluster::{Assignment, ClusterEngine, ClusterOutcome, Execution};
 pub use router::{
     BacklogAwareRouter, LeastLoadedRouter, RateAwareRouter, RoundRobinRouter, Router,
 };

@@ -1,9 +1,8 @@
-//! Chaos properties: deterministic fault injection under every executor.
+//! Chaos properties: deterministic fault injection.
 //!
-//! Faults are applied only at arrival barriers, so the executor-
-//! invariance contract must survive any fault plan: crashes, stragglers,
+//! Faults are applied only at arrival barriers: crashes, stragglers,
 //! KV-link faults, boot failures, shed mode, and the retry/backoff
-//! recovery they trigger all happen on the coordinator thread with every
+//! recovery they trigger all happen on the coordinator with every
 //! replica clock pinned at the barrier. These tests hold randomized
 //! plans (from a seeded LCG — no ambient randomness) to:
 //!
@@ -11,15 +10,10 @@
 //!    terminal state: `completed + shed + abandoned == submitted` on
 //!    complete runs, and the merged report carries exactly one record
 //!    per request regardless of how many incarnations retries created.
-//! 2. **Executor byte-invariance** — sequential and pooled-parallel
-//!    execution produce identical outcomes, fault accounting and epoch
-//!    count included.
-//! 3. **Digest neutrality** — an *empty* fault plan is indistinguishable
+//! 2. **Digest neutrality** — an *empty* fault plan is indistinguishable
 //!    from no plan at all, byte for byte.
 
-use tokenflow_cluster::{
-    ClusterEngine, ClusterOutcome, Execution, LeastLoadedRouter, RoundRobinRouter,
-};
+use tokenflow_cluster::{ClusterEngine, ClusterOutcome, LeastLoadedRouter, RoundRobinRouter};
 use tokenflow_control::{ControlConfig, ReactivePolicy};
 use tokenflow_core::EngineConfig;
 use tokenflow_fault::{CrashFault, FaultPlan, RetryPolicy, WindowFault};
@@ -180,38 +174,25 @@ fn assert_conservation(out: &ClusterOutcome, submitted: usize, label: &str) {
     );
 }
 
-const EXECUTIONS: [fn() -> Execution; 2] = [|| Execution::Sequential, || Execution::parallel(2)];
-
 #[test]
-fn randomized_fault_plans_conserve_and_stay_executor_invariant_static() {
+fn randomized_fault_plans_conserve_static() {
     for seed in 0..4u64 {
         let mut rng = Lcg(0x5eed_0000 + seed);
         let w = workload(&mut rng, 60);
         let replicas = 3;
         // Crash at most replicas-1 so the run can usually recover.
         let p = plan(&mut rng, replicas, replicas - 1);
-        let outcomes: Vec<ClusterOutcome> = EXECUTIONS
-            .iter()
-            .map(|exec| {
-                ClusterEngine::new(config(), replicas, LeastLoadedRouter::new(), || {
-                    Box::new(TokenFlowScheduler::new())
-                })
-                .with_fault_plan(p.clone())
-                .with_execution(exec())
-                .run(&w)
-            })
-            .collect();
-        assert_conservation(&outcomes[0], w.len(), &format!("static seed {seed}"));
-        assert_byte_identical(
-            &outcomes[0],
-            &outcomes[1],
-            &format!("static seed {seed}: sequential vs parallel"),
-        );
+        let out = ClusterEngine::new(config(), replicas, LeastLoadedRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .with_fault_plan(p)
+        .run(&w);
+        assert_conservation(&out, w.len(), &format!("static seed {seed}"));
     }
 }
 
 #[test]
-fn randomized_fault_plans_conserve_and_stay_executor_invariant_elastic() {
+fn randomized_fault_plans_conserve_elastic() {
     for seed in 0..3u64 {
         let mut rng = Lcg(0xe1a5_0000 + seed);
         let w = workload(&mut rng, 50);
@@ -227,24 +208,13 @@ fn randomized_fault_plans_conserve_and_stay_executor_invariant_elastic() {
             .with_max_replicas(4)
             .with_boot_delay(SimDuration::from_secs(2))
             .with_cooldown(SimDuration::ZERO);
-        let outcomes: Vec<ClusterOutcome> = EXECUTIONS
-            .iter()
-            .map(|exec| {
-                ClusterEngine::new(config(), 2, LeastLoadedRouter::new(), || {
-                    Box::new(TokenFlowScheduler::new())
-                })
-                .with_autoscaler(ReactivePolicy::new(), control.clone())
-                .with_fault_plan(p.clone())
-                .with_execution(exec())
-                .run(&w)
-            })
-            .collect();
-        assert_conservation(&outcomes[0], w.len(), &format!("elastic seed {seed}"));
-        assert_byte_identical(
-            &outcomes[0],
-            &outcomes[1],
-            &format!("elastic seed {seed}: sequential vs parallel"),
-        );
+        let out = ClusterEngine::new(config(), 2, LeastLoadedRouter::new(), || {
+            Box::new(TokenFlowScheduler::new())
+        })
+        .with_autoscaler(ReactivePolicy::new(), control)
+        .with_fault_plan(p)
+        .run(&w);
+        assert_conservation(&out, w.len(), &format!("elastic seed {seed}"));
     }
 }
 
@@ -387,13 +357,11 @@ fn empty_fault_plan_is_byte_identical_to_no_plan() {
     let plain = ClusterEngine::new(config(), 3, LeastLoadedRouter::new(), || {
         Box::new(TokenFlowScheduler::new())
     })
-    .with_execution(Execution::parallel(2))
     .run(&w);
     let faulty = ClusterEngine::new(config(), 3, LeastLoadedRouter::new(), || {
         Box::new(TokenFlowScheduler::new())
     })
     .with_fault_plan(FaultPlan::default())
-    .with_execution(Execution::parallel(2))
     .run(&w);
     assert_byte_identical(&plain, &faulty, "empty plan vs none");
     assert!(

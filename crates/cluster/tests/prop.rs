@@ -1,19 +1,15 @@
 //! Property tests: routing conservation across random workloads, replica
-//! counts, routing policies, and *executors*.
+//! counts, routing policies, and scale policies.
 //!
 //! The conservation contract: every submitted request lands on exactly
 //! one replica, and the merged report's counts equal the sum of the
 //! per-replica counts — no request is dropped, duplicated, or
-//! double-counted by the cluster layer. Every case runs under both the
-//! sequential and the parallel epoch executor, and the two runs must be
-//! byte-identical — the executor choice is not allowed to touch a single
-//! routing decision, record, or merged statistic.
+//! double-counted by the cluster layer.
 
 use proptest::prelude::*;
 
 use tokenflow_cluster::{
-    BacklogAwareRouter, ClusterEngine, Execution, LeastLoadedRouter, RateAwareRouter,
-    RoundRobinRouter, Router,
+    BacklogAwareRouter, ClusterEngine, LeastLoadedRouter, RateAwareRouter, RoundRobinRouter, Router,
 };
 use tokenflow_control::{
     ControlConfig, PredictivePolicy, ReactivePolicy, ScalePolicy, ScriptedPolicy,
@@ -85,22 +81,8 @@ proptest! {
     ) {
         let config = EngineConfig::new(ModelProfile::llama3_8b(), HardwareProfile::rtx4090())
             .with_max_batch(8);
-        let out = ClusterEngine::new(config.clone(), replicas, router(which_router), move || scheduler(which_sched)).run(&w);
+        let out = ClusterEngine::new(config, replicas, router(which_router), move || scheduler(which_sched)).run(&w);
         prop_assert!(out.complete);
-
-        // Executor invariance: the same run on parallel workers must be
-        // byte-identical — same assignments, same per-replica records,
-        // same merged report.
-        let par = ClusterEngine::new(config, replicas, router(which_router), move || scheduler(which_sched)).with_execution(Execution::parallel(2)).run(&w);
-        prop_assert_eq!(&out.assignments, &par.assignments);
-        // The canonical report renders every counter but the pool's own,
-        // so the digests must match; epochs run the same barriers.
-        prop_assert_eq!(out.merged.digest(), par.merged.digest());
-        prop_assert_eq!(out.merged.runtime.epochs, par.merged.runtime.epochs);
-        for (x, y) in out.replicas.iter().zip(&par.replicas) {
-            prop_assert_eq!(&x.records, &y.records);
-            prop_assert_eq!(x.iterations, y.iterations);
-        }
 
         // One assignment per submitted request, each to a valid replica.
         prop_assert_eq!(out.assignments.len(), w.len());
@@ -146,16 +128,13 @@ proptest! {
     }
 }
 
-// The control-plane analogue of executor invariance: for every shipped
-// scale policy, the decision log, fleet accounting, and final reports
-// are byte-identical under sequential and parallel epoch execution —
-// and conservation (one replica per request, dispatched only while that
-// replica was active) still holds on an elastic fleet.
+// Conservation on an elastic fleet, for every shipped scale policy: one
+// replica per request, dispatched only while that replica was active.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     #[test]
-    fn every_scale_policy_is_executor_invariant(
+    fn every_scale_policy_conserves_requests(
         w in arb_workload(),
         bootstrap in 1usize..4,
         which_policy in 0u8..3,
@@ -169,46 +148,26 @@ proptest! {
             .with_max_replicas(6)
             .with_boot_delay(tokenflow_sim::SimDuration::from_millis(500))
             .with_cooldown(tokenflow_sim::SimDuration::ZERO);
-        let run = |execution: Execution| {
-            ClusterEngine::new(config.clone(), bootstrap, router(which_router), || Box::new(TokenFlowScheduler::new())).with_autoscaler(scale_policy(which_policy), control.clone()).with_execution(execution).run(&w)
-        };
-        let seq = run(Execution::Sequential);
-        let par = run(Execution::parallel(3));
-        prop_assert!(seq.complete);
-
-        // Byte-identical elastic outcomes: routing, scaling, accounting.
-        prop_assert_eq!(&seq.assignments, &par.assignments);
-        prop_assert_eq!(&seq.scale_events, &par.scale_events);
-        prop_assert_eq!(&seq.fleet, &par.fleet);
-        prop_assert_eq!(
-            format!("{:?}", seq.scale_events),
-            format!("{:?}", par.scale_events)
-        );
-        prop_assert_eq!(seq.merged.digest(), par.merged.digest());
-        prop_assert_eq!(seq.merged.runtime.epochs, par.merged.runtime.epochs);
-        prop_assert_eq!(seq.replicas.len(), par.replicas.len());
-        for (x, y) in seq.replicas.iter().zip(&par.replicas) {
-            prop_assert_eq!(&x.records, &y.records);
-            prop_assert_eq!(x.iterations, y.iterations);
-        }
+        let out = ClusterEngine::new(config, bootstrap, router(which_router), || Box::new(TokenFlowScheduler::new())).with_autoscaler(scale_policy(which_policy), control).run(&w);
+        prop_assert!(out.complete);
 
         // Conservation still holds with a dynamic fleet.
-        prop_assert_eq!(seq.assignments.len(), w.len());
-        prop_assert_eq!(seq.merged.submitted, w.len());
-        prop_assert_eq!(seq.merged.completed, w.len());
-        let mut per_replica = vec![0usize; seq.replicas.len()];
-        for a in &seq.assignments {
-            prop_assert!(a.replica < seq.replicas.len());
+        prop_assert_eq!(out.assignments.len(), w.len());
+        prop_assert_eq!(out.merged.submitted, w.len());
+        prop_assert_eq!(out.merged.completed, w.len());
+        let mut per_replica = vec![0usize; out.replicas.len()];
+        for a in &out.assignments {
+            prop_assert!(a.replica < out.replicas.len());
             prop_assert_eq!(a.local_id, RequestId(per_replica[a.replica] as u64));
             per_replica[a.replica] += 1;
         }
         // The bill is consistent: at least min-fleet × duration (one
         // active replica always bills), at most ceiling × duration
         // (billable replicas never exceed max_replicas).
-        let fleet = seq.fleet.as_ref().expect("elastic run has fleet stats");
-        prop_assert_eq!(seq.merged.replica_seconds, fleet.replica_seconds);
-        let dur = seq.merged.duration.as_secs_f64();
-        prop_assert!(seq.merged.replica_seconds >= dur - 1e-9);
-        prop_assert!(seq.merged.replica_seconds <= 6.0 * dur + 1e-9);
+        let fleet = out.fleet.as_ref().expect("elastic run has fleet stats");
+        prop_assert_eq!(out.merged.replica_seconds, fleet.replica_seconds);
+        let dur = out.merged.duration.as_secs_f64();
+        prop_assert!(out.merged.replica_seconds >= dur - 1e-9);
+        prop_assert!(out.merged.replica_seconds <= 6.0 * dur + 1e-9);
     }
 }

@@ -24,11 +24,10 @@
 //! **Determinism.** The control plane runs only at arrival barriers,
 //! where every replica's state is already pinned byte-for-byte by the
 //! cluster's epoch contract. Its inputs (load snapshots, the arrival
-//! group) and its arithmetic are therefore identical under sequential
-//! and parallel epoch execution, which extends the cluster's
-//! executor-invariance guarantee to elastic fleets — scale decisions,
-//! event logs, and fleet timelines reproduce bit-for-bit. The cluster
-//! crate's property suite holds every shipped policy to exactly that.
+//! group) and its arithmetic are therefore pinned by the barrier, which
+//! extends the cluster's determinism to elastic fleets — scale
+//! decisions, event logs, and fleet timelines reproduce bit-for-bit.
+//! The golden suite pins every shipped policy's outcome.
 
 // audit: tier(deterministic)
 #![forbid(unsafe_code)]

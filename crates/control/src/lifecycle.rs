@@ -3,7 +3,7 @@
 //! Every replica a control plane manages is in exactly one of four
 //! phases, and every transition happens on the coordinator thread at an
 //! arrival barrier — never mid-epoch — which is what keeps elastic
-//! clusters byte-reproducible across epoch executors:
+//! clusters byte-reproducible:
 //!
 //! ```text
 //!             scale-up                    ready_at ≤ barrier
@@ -100,8 +100,7 @@ pub enum ScaleEventKind {
 }
 
 /// One entry of the control plane's decision log. The log is part of the
-/// executor-invariance contract: sequential and parallel epoch execution
-/// must produce identical event sequences.
+/// determinism contract: one spec always produces one event sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleEvent {
     /// Barrier instant the transition happened at.

@@ -19,8 +19,8 @@
 //!    so the bootstrap fleet retires last).
 //!
 //! Everything is synchronous, deterministic, and logged as
-//! [`ScaleEvent`]s — the event log is part of the executor-invariance
-//! contract the cluster's property tests enforce.
+//! [`ScaleEvent`]s — the event log is part of the determinism contract
+//! the golden digests pin.
 
 use tokenflow_core::{EngineConfig, EngineLoad};
 use tokenflow_metrics::FleetStats;

@@ -98,7 +98,7 @@ pub enum ScaleDecision {
 ///
 /// Implementations must be deterministic — identical observation
 /// sequences must produce identical decision sequences — so elastic
-/// cluster runs reproduce bit-for-bit regardless of epoch executor.
+/// cluster runs reproduce bit-for-bit.
 /// `Send` is a supertrait for the same reason as `Router`'s: the control
 /// plane travels with its cluster across threads, but `decide` only ever
 /// runs on the coordinator.

@@ -38,8 +38,8 @@ use crate::profiler::EngineProfilers;
 use crate::state::{EngineLoad, EngineState, Phase, ReqState};
 use crate::{admission, batch, delivery, kv_orchestrator};
 
-// Evaluated at compile time: `Engine` must stay `Send` so the cluster's
-// parallel epoch executor can advance replicas on worker threads.
+// Evaluated at compile time: `Engine` must stay `Send` so a built engine
+// (or a cluster of them) can move to another thread.
 const _: () = Engine::assert_send();
 
 /// Why [`Engine::run_to_completion`] stopped.
@@ -62,8 +62,8 @@ impl Completion {
     }
 }
 
-/// Counters of the plan-horizon fast path, in the style of the cluster
-/// executor's stats: cheap enough to maintain always, rich enough for
+/// Counters of the plan-horizon fast path: cheap enough to maintain
+/// always, rich enough for
 /// the bench harness to report a skip rate per run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastPathStats {
@@ -967,11 +967,10 @@ impl Engine {
     /// submitted, nothing in flight). Returns whether every submitted
     /// request has finished.
     ///
-    /// This is the epoch-advance entry point the cluster executor drives:
-    /// between two arrival barriers a replica is advanced to the next
-    /// barrier time with exactly the same step semantics as
-    /// [`Engine::step`] in a hand-written loop, so sequential and parallel
-    /// cluster execution stay step-for-step identical. Quiescent decode
+    /// This is the epoch-advance entry point the cluster drives: between
+    /// two arrival barriers a replica is advanced to the next barrier
+    /// time with exactly the same step semantics as [`Engine::step`] in a
+    /// hand-written loop. Quiescent decode
     /// stretches under a static plan horizon are replayed many steps per
     /// call (see `DESIGN.md` §3, "Replaying a static horizon"), with the
     /// same result as stepping them one by one. An engine whose clock is
@@ -1125,9 +1124,8 @@ impl Engine {
     }
 
     /// Compile-time proof that whole replicas (engine + boxed scheduler)
-    /// can move across threads: the cluster's parallel epoch executor
-    /// hands `&mut Engine` to pooled workers, which requires `Engine:
-    /// Send`. Breaking it (e.g. an `Rc` in a scheduler) fails this fn.
+    /// can move across threads. Breaking it (e.g. an `Rc` in a
+    /// scheduler) fails this fn.
     #[doc(hidden)]
     pub const fn assert_send()
     where

@@ -92,10 +92,9 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Execution-machinery counters surfaced alongside the serving metrics:
-/// the engine's plan-horizon fast-path statistics and the cluster
-/// executor's barrier/pool statistics. Zero for layers that don't apply
-/// (a single-engine run has no epochs; a replica report inside a cluster
-/// merge has no pool).
+/// the engine's plan-horizon fast-path statistics and the cluster's
+/// epoch count. Zero for layers that don't apply (a single-engine run
+/// has no epochs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuntimeCounters {
     /// Engine steps served by the plan-horizon fast path.
@@ -108,20 +107,21 @@ pub struct RuntimeCounters {
     pub horizons_expired: u64,
     /// Cluster arrival-barrier epochs executed.
     pub epochs: u64,
-    /// Always zero: no executor coalesces arrival barriers. Kept so the
+    /// Always zero: nothing coalesces arrival barriers. Kept so the
     /// canonical form (and every digest pinned against it) keeps its
     /// `batched_barriers` key.
     pub batched_barriers: u64,
-    /// Worker threads of the persistent executor pool (0 when
-    /// sequential).
+    /// Always zero: clusters run no worker pool. Kept so the canonical
+    /// form (and every digest pinned against it) keeps its
+    /// `pool_workers` key.
     pub pool_workers: u64,
-    /// Replica-advance tasks submitted to the pool.
+    /// Always zero, like `pool_workers`; kept for its
+    /// `pool_submissions` key.
     pub pool_submissions: u64,
 }
 
 impl RuntimeCounters {
-    /// Field-wise sum, except `pool_workers` (a configuration value, not
-    /// a total) which takes the maximum.
+    /// Field-wise sum.
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a RuntimeCounters>) -> RuntimeCounters {
         let mut total = RuntimeCounters::default();
         for c in parts {
@@ -131,26 +131,10 @@ impl RuntimeCounters {
             total.horizons_expired += c.horizons_expired;
             total.epochs += c.epochs;
             total.batched_barriers += c.batched_barriers;
-            total.pool_workers = total.pool_workers.max(c.pool_workers);
+            total.pool_workers += c.pool_workers;
             total.pool_submissions += c.pool_submissions;
         }
         total
-    }
-
-    /// Copy with the two pool counters zeroed. They describe *where* a
-    /// cluster run's epochs executed — the worker pool's size depends on
-    /// the executor and the host's cores — so they are the one part of a
-    /// report allowed to differ between execution strategies. Everything
-    /// else, epochs included, is simulation semantics; the canonical form
-    /// ([`RunReport::canonical_json`](crate::RunReport::canonical_json))
-    /// renders this view, so a report's digest is the same under every
-    /// executor and on every host.
-    pub fn invariant(&self) -> RuntimeCounters {
-        RuntimeCounters {
-            pool_workers: 0,
-            pool_submissions: 0,
-            ..*self
-        }
     }
 }
 
@@ -239,7 +223,7 @@ pub struct RunReport {
     /// parts, and elastic clusters overwrite this with the control
     /// plane's exact integral (see `tokenflow-metrics`' `FleetStats`).
     pub replica_seconds: f64,
-    /// Execution-machinery counters (fast-path and executor statistics).
+    /// Execution-machinery counters (fast-path and epoch statistics).
     /// `from_records` leaves them zero; the engine and cluster layers
     /// fill them in when building their outcomes.
     pub runtime: RuntimeCounters,

@@ -140,13 +140,11 @@ impl ControlSpec {
 }
 
 impl ExecutionSpec {
-    /// The cluster execution strategy this spec describes.
+    /// The cluster executor this spec names: always the one sequential
+    /// epoch loop. Kept for callers that still pass it to
+    /// [`ClusterEngine::with_execution`]; [`Harness::run`] ignores it.
     pub fn build_execution(&self) -> Execution {
-        match self {
-            ExecutionSpec::Sequential => Execution::Sequential,
-            ExecutionSpec::Parallel(threads) => Execution::parallel(*threads as usize),
-            ExecutionSpec::Auto => Execution::parallel_auto(),
-        }
+        Execution::Sequential
     }
 }
 
@@ -413,7 +411,7 @@ impl Harness {
     pub fn run(self) -> RunOutcome {
         let scheduler_spec = self.scheduler;
         let scheduler_name = scheduler_spec.build_scheduler().name().to_string();
-        let (cluster, topology, execution) = match self.topology {
+        let (cluster, topology) = match self.topology {
             TopologySpec::Single => {
                 let out = Engine::from_boxed(self.config, scheduler_spec.build_scheduler())
                     .run(&self.workload);
@@ -432,9 +430,7 @@ impl Harness {
                 };
             }
             TopologySpec::Cluster {
-                replicas,
-                router,
-                execution,
+                replicas, router, ..
             } => (
                 ClusterEngine::new(
                     self.config,
@@ -443,14 +439,13 @@ impl Harness {
                     move || scheduler_spec.build_scheduler(),
                 ),
                 format!("cluster({replicas})"),
-                execution,
             ),
             TopologySpec::Autoscaled {
                 bootstrap,
                 router,
                 policy,
                 control,
-                execution,
+                ..
             } => {
                 let control_config = control.build_control(&self.config);
                 (
@@ -462,7 +457,6 @@ impl Harness {
                     )
                     .with_autoscaler(policy.build_policy(), control_config),
                     format!("autoscaled({bootstrap})"),
-                    execution,
                 )
             }
         };
@@ -471,9 +465,7 @@ impl Harness {
             Some(plan) => cluster.with_fault_plan(plan),
             None => cluster,
         };
-        let out = cluster
-            .with_execution(execution.build_execution())
-            .run(&self.workload);
+        let out = cluster.run(&self.workload);
         RunOutcome {
             scenario: self.name,
             topology,
@@ -644,48 +636,6 @@ mod tests {
             assert!(outcome.complete, "{router:?}");
             assert_eq!(outcome.report.completed, 8, "{router:?}");
             assert_eq!(outcome.replicas, 2);
-        }
-    }
-
-    #[test]
-    fn outcome_is_the_same_under_every_executor_and_lane_count() {
-        let run = |execution| {
-            ScenarioSpec {
-                workload: WorkloadSpec::Synthetic {
-                    arrivals: ArrivalSpecSpec::Poisson {
-                        rate: 20.0,
-                        duration_secs: 3.0,
-                    },
-                    prompt: LengthDistSpec::Fixed(128),
-                    output: LengthDistSpec::Fixed(64),
-                    rate: RateDistSpec::Fixed(15.0),
-                    seed: 7,
-                },
-                topology: TopologySpec::Cluster {
-                    replicas: 4,
-                    router: RouterSpec::RoundRobin,
-                    execution,
-                },
-                ..ScenarioSpec::default()
-            }
-            .build()
-            .unwrap()
-            .run()
-        };
-        let sequential = run(ExecutionSpec::Sequential);
-        assert!(sequential.complete);
-        for threads in [2, 4] {
-            let parallel = run(ExecutionSpec::Parallel(threads));
-            assert_eq!(
-                sequential.digest(),
-                parallel.digest(),
-                "parallel({threads})"
-            );
-            assert_eq!(
-                sequential.to_json().emit(),
-                parallel.to_json().emit(),
-                "parallel({threads})"
-            );
         }
     }
 

@@ -599,10 +599,20 @@ pub fn control_from_json(v: &Json, path: &str) -> Result<ControlSpec, SpecError>
 }
 
 /// Parses an [`ExecutionSpec`]: a bare string (`"sequential"`,
-/// `"auto"`), a `{"type": "parallel", "threads": n}` object, or the
-/// nested shorthand `{"parallel": {"threads": n}}`. Unknown strategy
-/// names list the valid alternatives.
+/// `"auto"`, `"parallel"`), a `{"type": "parallel", "threads": n}`
+/// object, or the nested shorthand `{"parallel": {"threads": n}}`.
+/// Every form yields [`ExecutionSpec::Sequential`], the one executor;
+/// the parallel forms are accepted so that older specs still parse, and
+/// are still checked (`threads` ≥ 1, no unknown fields). Unknown
+/// strategy names list the valid alternatives.
 pub fn execution_from_json(v: &Json, path: &str) -> Result<ExecutionSpec, SpecError> {
+    // The parallel forms' `threads`, checked though nothing reads it.
+    let check_threads = |body: &Json, path: &str| {
+        if get_u64(body, path, "threads", 4)? == 0 {
+            return Err(invalid(&format!("{path}.threads"), "must be ≥ 1"));
+        }
+        Ok(())
+    };
     // Nested shorthand: a single-key object whose key names the
     // strategy, e.g. {"parallel": {"threads": 8}}.
     if let Some(members) = v.as_obj() {
@@ -618,46 +628,30 @@ pub fn execution_from_json(v: &Json, path: &str) -> Result<ExecutionSpec, SpecEr
                 return Err(unknown_name(path, name, EXECUTION_NAMES));
             }
             let inner = format!("{path}.{name}");
-            return match name.as_str() {
-                "parallel" => {
-                    check_fields(body, &inner, &["threads"])?;
-                    let threads = get_u64(body, &inner, "threads", 4)?;
-                    if threads == 0 {
-                        return Err(invalid(&format!("{inner}.threads"), "must be ≥ 1"));
-                    }
-                    Ok(ExecutionSpec::Parallel(threads))
-                }
-                "sequential" => {
-                    check_fields(body, &inner, &[])?;
-                    Ok(ExecutionSpec::Sequential)
-                }
-                _ => {
-                    check_fields(body, &inner, &[])?;
-                    Ok(ExecutionSpec::Auto)
-                }
-            };
+            if name == "parallel" {
+                check_fields(body, &inner, &["threads"])?;
+                check_threads(body, &inner)?;
+            } else {
+                check_fields(body, &inner, &[])?;
+            }
+            return Ok(ExecutionSpec::Sequential);
         }
     }
     match type_tag(v, path, EXECUTION_NAMES)? {
-        "sequential" => Ok(ExecutionSpec::Sequential),
+        "sequential" => {}
         "auto" => {
             if v.as_obj().is_some() {
                 check_fields(v, path, &["type"])?;
             }
-            Ok(ExecutionSpec::Auto)
         }
-        "parallel" => {
+        _ => {
             if v.as_obj().is_some() {
                 check_fields(v, path, &["type", "threads"])?;
             }
-            let threads = get_u64(v, path, "threads", 4)?;
-            if threads == 0 {
-                return Err(invalid(&format!("{path}.threads"), "must be ≥ 1"));
-            }
-            Ok(ExecutionSpec::Parallel(threads))
+            check_threads(v, path)?;
         }
-        _ => unreachable!("type_tag validated"),
     }
+    Ok(ExecutionSpec::Sequential)
 }
 
 /// Parses a [`WorkloadSpec`].
@@ -1344,10 +1338,6 @@ fn control_to_json(spec: &ControlSpec) -> Json {
 fn execution_to_json(spec: &ExecutionSpec) -> Json {
     match spec {
         ExecutionSpec::Sequential => s("sequential"),
-        ExecutionSpec::Auto => s("auto"),
-        ExecutionSpec::Parallel(threads) => {
-            obj(vec![("type", s("parallel")), ("threads", ni(*threads))])
-        }
     }
 }
 

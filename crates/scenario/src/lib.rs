@@ -1,7 +1,7 @@
 //! Declarative scenarios: the whole serving surface as one JSON spec.
 //!
 //! Every axis the workspace exposes — scheduler, router, scale policy,
-//! execution strategy, workload, model, hardware, engine knobs, topology
+//! workload, model, hardware, engine knobs, topology
 //! — has a typed spec struct here, composed into one
 //! [`ScenarioSpec`] with a single entry point:
 //!

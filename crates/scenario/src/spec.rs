@@ -39,7 +39,9 @@ pub const PRESET_NAMES: &[&str] = &[
 ];
 /// Valid `topology.type` names.
 pub const TOPOLOGY_NAMES: &[&str] = &["single", "cluster", "autoscaled"];
-/// Valid `execution` forms.
+/// Accepted `execution` names. All three run the same sequential epoch
+/// loop; the parallel forms are accepted so that older specs still
+/// parse.
 pub const EXECUTION_NAMES: &[&str] = &["sequential", "parallel", "auto"];
 /// Valid `arrivals.type` names.
 pub const ARRIVAL_NAMES: &[&str] = &["burst", "poisson", "mmpp", "diurnal"];
@@ -272,19 +274,17 @@ impl Default for ControlSpec {
     }
 }
 
-/// How cluster epochs execute. Behavior-invariant by the executor
-/// equivalence contract — this only trades wall-clock for threads.
+/// A cluster topology's `execution` field. Clusters have one executor,
+/// the sequential epoch loop, so every accepted form (`"sequential"`,
+/// `"auto"`, `"parallel"` and the parallel objects, see
+/// [`execution_from_json`](crate::codec::execution_from_json)) parses
+/// to this one value and emits as `"sequential"`. The field is kept so
+/// that specs written for the removed worker pool still parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionSpec {
-    /// Advance replicas on the coordinator thread.
+    /// Advance replicas one after another on the calling thread.
     #[default]
     Sequential,
-    /// Advance replicas on a persistent worker pool with this many
-    /// lanes.
-    Parallel(u64),
-    /// Pool sized to the host's available parallelism
-    /// ([`Execution::parallel_auto`](tokenflow_cluster::Execution::parallel_auto)).
-    Auto,
 }
 
 /// An engine-facing workload description.
@@ -580,7 +580,8 @@ pub enum TopologySpec {
         replicas: u64,
         /// Routing policy.
         router: RouterSpec,
-        /// Epoch execution strategy.
+        /// Epoch executor; accepted for compatibility, always
+        /// sequential.
         execution: ExecutionSpec,
     },
     /// An elastic fleet: `bootstrap` replicas at time zero, resized by
@@ -594,7 +595,8 @@ pub enum TopologySpec {
         policy: ScalePolicySpec,
         /// Control-plane bounds and timing.
         control: ControlSpec,
-        /// Epoch execution strategy.
+        /// Epoch executor; accepted for compatibility, always
+        /// sequential.
         execution: ExecutionSpec,
     },
 }

@@ -209,8 +209,7 @@ pub fn trace_jsonl(journal: &TraceJournal) -> String {
 }
 
 /// The canonical (meta-filtered, seq-stripped) journal as JSONL — the
-/// view that is invariant under executor choice *and* the plan-horizon
-/// fast path, and the bytes [`trace_digest`] is taken over. Sequence
+/// view that is invariant under the plan-horizon fast path, and the bytes [`trace_digest`] is taken over. Sequence
 /// numbers are dropped because meta events share the per-source
 /// counter; the line *order* still carries the total `(time, source,
 /// seq)` merge order.

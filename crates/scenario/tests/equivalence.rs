@@ -18,8 +18,9 @@ use tokenflow_control::{
 use tokenflow_core::{Engine, EngineConfig};
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
-    ControlSpec, ExecutionSpec, RateDistSpec, RouterSpec, ScalePolicySpec, ScenarioSpec,
-    SchedulerSpec, TokenFlowSpec, TopologySpec, WorkloadSpec,
+    parse_scenario, scenario_to_json, ControlSpec, ExecutionSpec, Json, RateDistSpec, RouterSpec,
+    ScalePolicySpec, ScenarioSpec, SchedulerSpec, SpecError, TokenFlowSpec, TopologySpec,
+    WorkloadSpec,
 };
 use tokenflow_sched::{
     AndesScheduler, ChunkedPrefillScheduler, FcfsScheduler, Scheduler, TokenFlowScheduler,
@@ -241,25 +242,115 @@ fn autoscaled_spec_equals_hand_built_per_scheduler_router_policy() {
     }
 }
 
-/// Execution strategy is spec-exposed but behavior-invariant: the
-/// parallel spec must match the sequential hand-built stack too.
+/// A 4-replica least-loaded cluster on the shared trace, with
+/// `execution` spliced into its topology (empty: no field).
+fn cluster_spec_with_execution(execution: &str) -> String {
+    let field = if execution.is_empty() {
+        String::new()
+    } else {
+        format!(r#", "execution": {execution}"#)
+    };
+    format!(
+        r#"{{"name": "legacy-execution", "model": "Llama3-8B", "hardware": "RTX4090",
+  "engine": {{"max_batch": 8}}, "scheduler": "tokenflow",
+  "workload": {{"type": "diurnal-flash-crowd", "peak_rate": 1, "duration_secs": 40,
+               "crowd_size": 10, "crowd_at_secs": 10,
+               "rate": {{"type": "uniform", "lo": 8, "hi": 24}}, "seed": 7}},
+  "topology": {{"type": "cluster", "replicas": 4, "router": "least-loaded"{field}}}}}"#
+    )
+}
+
+/// Specs written for the removed worker pool still parse and run: every
+/// `execution` form the grammar has ever accepted emits as
+/// `"sequential"` and builds the same cluster as the hand-built stack,
+/// with the digest every form gave when the pool existed. The forms it
+/// has always rejected are still typed errors at the same paths.
 #[test]
-fn parallel_execution_spec_matches_sequential_hand_built() {
-    let w = trace();
-    let hand = ClusterEngine::new(config(), 3, hand_router("least-loaded"), || {
+fn every_legacy_execution_form_runs_the_one_executor() {
+    const DIGEST: u64 = 0x4f5a_8c61_a755_8072;
+    let hand = ClusterEngine::new(config(), 4, hand_router("least-loaded"), || {
         hand_scheduler("tokenflow")
     })
-    .run(&w);
-    let spec = ScenarioSpec {
-        topology: TopologySpec::Cluster {
-            replicas: 3,
-            router: RouterSpec::LeastLoaded,
-            execution: ExecutionSpec::Parallel(4),
-        },
-        ..base_spec()
-    };
-    let built = spec.build().expect("buildable").run();
-    // The canonical report leaves out only the pool's own counters, so
-    // the digests match as they stand.
-    assert_eq!(built.digest(), hand.merged.digest());
+    .run(&trace());
+    assert_eq!(hand.merged.digest(), DIGEST, "hand-built stack moved");
+    for form in [
+        "",
+        r#""sequential""#,
+        r#""auto""#,
+        r#""parallel""#,
+        r#"{"type": "sequential"}"#,
+        r#"{"type": "auto"}"#,
+        r#"{"type": "parallel"}"#,
+        r#"{"type": "parallel", "threads": 3}"#,
+        r#"{"sequential": {}}"#,
+        r#"{"auto": {}}"#,
+        r#"{"parallel": {}}"#,
+        r#"{"parallel": {"threads": 2}}"#,
+    ] {
+        let spec = parse_scenario(&cluster_spec_with_execution(form))
+            .unwrap_or_else(|e| panic!("{form}: {e}"));
+        let emitted = scenario_to_json(&spec);
+        assert_eq!(
+            emitted.get("topology").and_then(|t| t.get("execution")),
+            Some(&Json::Str("sequential".to_string())),
+            "{form}: canonical form must name the one executor"
+        );
+        let built = spec.build().expect("buildable").run();
+        assert!(built.complete, "{form}: incomplete");
+        assert_eq!(built.digest(), DIGEST, "{form}");
+    }
+
+    let rejected = [
+        (
+            r#"{"type": "parallel", "threads": 0}"#,
+            "invalid",
+            "scenario.topology.execution.threads",
+        ),
+        (
+            r#"{"parallel": {"threads": 0}}"#,
+            "invalid",
+            "scenario.topology.execution.parallel.threads",
+        ),
+        (
+            r#""threaded""#,
+            "unknown name",
+            "scenario.topology.execution.type",
+        ),
+        (
+            r#"{"threaded": {"threads": 2}}"#,
+            "unknown name",
+            "scenario.topology.execution",
+        ),
+        (
+            r#"{"type": "parallel", "threads": 2, "lanes": 1}"#,
+            "unknown field",
+            "scenario.topology.execution.lanes",
+        ),
+        (
+            r#"{"parallel": {"treads": 2}}"#,
+            "unknown field",
+            "scenario.topology.execution.parallel.treads",
+        ),
+        (
+            r#"{"type": "auto", "threads": 2}"#,
+            "unknown field",
+            "scenario.topology.execution.threads",
+        ),
+        (
+            r#"{"parallel": {}, "sequential": {}}"#,
+            "invalid",
+            "scenario.topology.execution",
+        ),
+    ];
+    for (form, kind, path) in rejected {
+        let err = parse_scenario(&cluster_spec_with_execution(form))
+            .expect_err(&format!("{form} must be rejected"));
+        let got = match &err {
+            SpecError::Invalid { field, .. } => ("invalid", field.as_str()),
+            SpecError::UnknownName { field, .. } => ("unknown name", field.as_str()),
+            SpecError::UnknownField { field, .. } => ("unknown field", field.as_str()),
+            other => panic!("{form}: untyped error {other:?}"),
+        };
+        assert_eq!(got, (kind, path), "{form}");
+    }
 }

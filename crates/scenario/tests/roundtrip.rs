@@ -129,11 +129,7 @@ fn arb_control() -> impl Strategy<Value = ControlSpec> {
 }
 
 fn arb_execution() -> impl Strategy<Value = ExecutionSpec> {
-    prop_oneof![
-        Just(ExecutionSpec::Sequential),
-        Just(ExecutionSpec::Auto),
-        (1u64..64).prop_map(ExecutionSpec::Parallel),
-    ]
+    Just(ExecutionSpec::Sequential)
 }
 
 fn arb_arrivals() -> impl Strategy<Value = ArrivalSpecSpec> {
@@ -517,48 +513,6 @@ fn unknown_names_are_typed_errors_listing_valid_ones() {
                 assert_eq!(valid, expected_valid.to_vec(), "for {doc}");
             }
             other => panic!("{doc}: expected UnknownName, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn execution_grammar_accepts_every_documented_form() {
-    let parse = |doc: &str| {
-        codec::execution_from_json(&json::parse(doc).unwrap(), "topology.execution").unwrap()
-    };
-    // Bare strings.
-    assert_eq!(parse(r#""sequential""#), ExecutionSpec::Sequential);
-    assert_eq!(parse(r#""auto""#), ExecutionSpec::Auto);
-    // The canonical tagged object.
-    assert_eq!(
-        parse(r#"{"type": "parallel", "threads": 8}"#),
-        ExecutionSpec::Parallel(8)
-    );
-    // The nested single-key shorthand, with and without threads.
-    assert_eq!(
-        parse(r#"{"parallel": {"threads": 8}}"#),
-        ExecutionSpec::Parallel(8)
-    );
-    assert_eq!(parse(r#"{"parallel": {}}"#), ExecutionSpec::Parallel(4));
-    // Every accepted form survives the canonical round trip.
-    for spec in [
-        ExecutionSpec::Sequential,
-        ExecutionSpec::Auto,
-        ExecutionSpec::Parallel(8),
-    ] {
-        let emitted = codec::scenario_to_json(&ScenarioSpec {
-            topology: TopologySpec::Cluster {
-                replicas: 2,
-                router: RouterSpec::RoundRobin,
-                execution: spec,
-            },
-            ..ScenarioSpec::default()
-        })
-        .emit();
-        let reparsed = codec::parse_scenario(&emitted).unwrap();
-        match reparsed.topology {
-            TopologySpec::Cluster { execution, .. } => assert_eq!(execution, spec),
-            other => panic!("expected cluster topology, got {other:?}"),
         }
     }
 }

@@ -373,10 +373,8 @@ pub enum PrefillPolicy {
 /// Implementations must be deterministic: identical contexts must produce
 /// identical plans, so simulation runs reproduce bit-for-bit.
 ///
-/// `Send` is a supertrait so engines owning a policy can be advanced on
-/// worker threads — the cluster crate's parallel epoch executor moves
-/// whole replicas (engine + boxed scheduler) across threads between
-/// arrival barriers. Policies hold only their own plain data (no shared
+/// `Send` is a supertrait so engines owning a policy can move across
+/// threads. Policies hold only their own plain data (no shared
 /// interior mutability), so the bound is free in practice.
 pub trait Scheduler: Send {
     /// Short policy name for reports (e.g. `"TokenFlow"`).

@@ -24,9 +24,7 @@
 //! applies through the KV manager.
 //!
 //! [`Scheduler`] requires `Send` (policies are plain owned data), so an
-//! engine and its boxed policy can move to a worker thread — the cluster
-//! crate's parallel epoch executor advances whole replicas on
-//! `std::thread::scope` workers between arrival barriers.
+//! engine and its boxed policy can move to another thread.
 
 // audit: tier(deterministic)
 #![forbid(unsafe_code)]

@@ -12,13 +12,12 @@
 //! with simulation time (never wall clock), each emitting component owns
 //! a [`TraceSource`] with a private monotone sequence number, and
 //! [`TraceJournal::merge`] orders the union by `(time, source, seq)` — a
-//! total order independent of executor interleaving. The same scenario
-//! therefore produces the same journal under the sequential and pooled
-//! cluster executors.
+//! total order independent of the order in which replicas advanced. The
+//! same scenario therefore always produces the same journal.
 //!
 //! Two determinism domains exist. *Meta* events (plan-horizon arm/end)
 //! describe the engine's internal fast-path machinery: they are
-//! executor-invariant but, by construction, differ between fast-path-on
+//! deterministic but, by construction, differ between fast-path-on
 //! and fast-path-off runs. [`TraceJournal::canonical`] filters them out,
 //! leaving the decision record that is additionally invariant under the
 //! fast path — that filtered view is what trace digests pin.
@@ -262,7 +261,7 @@ impl TraceEventKind {
     }
 
     /// True for events describing fast-path machinery rather than
-    /// serving decisions. Meta events are executor-invariant but not
+    /// serving decisions. Meta events are deterministic but not
     /// fast-path-invariant, so [`TraceJournal::canonical`] excludes
     /// them.
     pub const fn is_meta(&self) -> bool {
@@ -493,7 +492,7 @@ impl TraceJournal {
     /// Merges per-source event streams into the total `(time, source,
     /// seq)` order. The key is unique per event, so the result does not
     /// depend on the order of `parts` — which is what makes the merged
-    /// journal executor-invariant.
+    /// journal independent of replica stepping order.
     pub fn merge(parts: Vec<Vec<TraceEvent>>) -> TraceJournal {
         let mut events: Vec<TraceEvent> = parts.into_iter().flatten().collect();
         events.sort_unstable_by_key(|e| (e.time, e.source, e.seq));
@@ -511,8 +510,7 @@ impl TraceJournal {
     }
 
     /// The canonical (non-meta) view: the decision record that is
-    /// invariant under both executor choice and the plan-horizon fast
-    /// path. Trace digests are taken over this view.
+    /// invariant under the plan-horizon fast path. Trace digests are taken over this view.
     pub fn canonical(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(|e| !e.kind.is_meta())
     }

@@ -42,10 +42,7 @@ fn main() {
                 topology: TopologySpec::Cluster {
                     replicas,
                     router,
-                    // Replicas advance in parallel between arrival
-                    // barriers; the executor choice cannot change a byte
-                    // of the results.
-                    execution: ExecutionSpec::Parallel(4),
+                    execution: ExecutionSpec::Sequential,
                 },
                 ..base.clone()
             };

@@ -132,8 +132,7 @@ pub use tokenflow_workload as workload;
 /// Convenience re-exports of the most common entry points.
 pub mod prelude {
     pub use tokenflow_cluster::{
-        ClusterEngine, ClusterOutcome, Execution, LeastLoadedRouter, RateAwareRouter,
-        RoundRobinRouter, Router,
+        ClusterEngine, ClusterOutcome, LeastLoadedRouter, RateAwareRouter, RoundRobinRouter, Router,
     };
     pub use tokenflow_control::{
         ControlConfig, ControlPlane, PredictivePolicy, ReactivePolicy, ReplicaPhase, ScaleDecision,

@@ -1,7 +1,6 @@
 //! Golden-digest determinism suite.
 //!
-//! Seeded runs of every shipped scheduler, router, executor, and scale
-//! policy are reduced to a 64-bit FNV-1a digest over their *full*
+//! Seeded runs of every shipped scheduler, router, and scale policy are reduced to a 64-bit FNV-1a digest over their *full*
 //! observable output — the canonical-JSON `RunReport`, every per-request
 //! record, router assignments, scale-event logs, and iteration counts —
 //! and the digests are pinned here. Hot-path perf work (dense indices,
@@ -22,7 +21,7 @@
 //! `cargo test --test golden -- --nocapture` and copy the table each
 //! failing test prints.
 
-use tokenflow_cluster::{ClusterEngine, ClusterOutcome, Execution, Router};
+use tokenflow_cluster::{ClusterEngine, ClusterOutcome, Router};
 use tokenflow_control::{ControlConfig, ScalePolicy};
 use tokenflow_core::{Engine, EngineConfig, SimOutcome};
 use tokenflow_metrics::{fnv1a64, RunReport, RuntimeCounters};
@@ -81,8 +80,7 @@ fn scheduler_spec(which: &str) -> SchedulerSpec {
 /// are exactly what the fastpath-off differential runs below are
 /// *supposed* to change while every serving metric stays put. Digests
 /// therefore pin everything but them; the counters themselves are
-/// gated behaviorally (`tests/alloc.rs`, `crates/cluster/tests/pool.rs`)
-/// and, across executors, by [`assert_same_report`].
+/// gated behaviorally (`tests/alloc.rs`).
 fn semantic_json(report: &RunReport) -> String {
     let mut report = report.clone();
     report.runtime = RuntimeCounters::default();
@@ -119,21 +117,6 @@ fn cluster_digest(o: &ClusterOutcome) -> u64 {
         o.assignments, o.scale_events, o.fleet, o.complete
     ));
     fnv1a64(blob.as_bytes())
-}
-
-/// Executor invariance over the *whole* report: the canonical form
-/// renders every runtime counter but the pool's own, so the digests —
-/// and the epoch counts inside them — must match across executors.
-fn assert_same_report(seq: &ClusterOutcome, par: &ClusterOutcome, label: &str) {
-    assert_eq!(
-        seq.merged.digest(),
-        par.merged.digest(),
-        "{label}: Parallel(4) report diverged from Sequential"
-    );
-    assert_eq!(
-        seq.merged.runtime.epochs, par.merged.runtime.epochs,
-        "{label}: Parallel(4) ran different epochs"
-    );
 }
 
 /// Compares measured digests against the pinned table, printing the full
@@ -218,22 +201,12 @@ fn golden_cluster_per_router_and_executor() {
     let measured: Vec<(String, u64)> = ROUTERS
         .iter()
         .map(|which| {
-            let run = |execution| {
-                let sched = scheduler_spec("tokenflow");
+            let sched = scheduler_spec("tokenflow");
+            let out =
                 ClusterEngine::new(config(), 3, router(which), move || sched.build_scheduler())
-                    .with_execution(execution)
-                    .run(&w)
-            };
-            let seq = run(Execution::Sequential);
-            let par = run(Execution::parallel(4));
-            assert!(seq.complete, "{which}: sequential run incomplete");
-            assert_same_report(&seq, &par, which);
-            let (ds, dp) = (cluster_digest(&seq), cluster_digest(&par));
-            assert_eq!(
-                ds, dp,
-                "{which}: Parallel(4) diverged from Sequential (0x{ds:016x} vs 0x{dp:016x})"
-            );
-            (which.to_string(), ds)
+                    .run(&w);
+            assert!(out.complete, "{which}: run incomplete");
+            (which.to_string(), cluster_digest(&out))
         })
         .collect();
     assert_digests("cluster", &measured, &CLUSTER_GOLDEN);
@@ -242,8 +215,8 @@ fn golden_cluster_per_router_and_executor() {
 /// Differential proof for the plan-horizon fast path (default-on): with
 /// the horizon force-disabled the engine runs every iteration through
 /// the full pipeline, and every digest must still match the pinned
-/// table byte-for-byte — for each scheduler alone and for each router
-/// under both executors. The pinned values were produced with the fast
+/// table byte-for-byte — for each scheduler alone and for each router.
+/// The pinned values were produced with the fast
 /// path on, so passing here proves fastpath-on ≡ fastpath-off across
 /// the whole shipped surface.
 #[test]
@@ -264,24 +237,13 @@ fn golden_differential_fast_path_off() {
     let clusters: Vec<(String, u64)> = ROUTERS
         .iter()
         .map(|which| {
-            let run = |execution| {
-                let sched = scheduler_spec("tokenflow");
-                ClusterEngine::new(off.clone(), 3, router(which), move || {
-                    sched.build_scheduler()
-                })
-                .with_execution(execution)
-                .run(&w)
-            };
-            let seq = run(Execution::Sequential);
-            let par = run(Execution::parallel(4));
-            assert!(seq.complete, "{which}: fastpath-off sequential incomplete");
-            assert_same_report(&seq, &par, which);
-            let (ds, dp) = (cluster_digest(&seq), cluster_digest(&par));
-            assert_eq!(
-                ds, dp,
-                "{which}: fastpath-off Parallel(4) diverged from Sequential"
-            );
-            (which.to_string(), ds)
+            let sched = scheduler_spec("tokenflow");
+            let out = ClusterEngine::new(off.clone(), 3, router(which), move || {
+                sched.build_scheduler()
+            })
+            .run(&w);
+            assert!(out.complete, "{which}: fastpath-off run incomplete");
+            (which.to_string(), cluster_digest(&out))
         })
         .collect();
     assert_digests("cluster fastpath-off", &clusters, &CLUSTER_GOLDEN);
@@ -341,25 +303,14 @@ fn golden_autoscaled_per_policy_and_executor() {
     let measured: Vec<(String, u64)> = cases
         .into_iter()
         .map(|(name, control, which)| {
-            let run = |execution| {
-                let sched = scheduler_spec("tokenflow");
-                ClusterEngine::new(config(), 2, router("least-loaded"), move || {
-                    sched.build_scheduler()
-                })
-                .with_autoscaler(policy(which), control.clone())
-                .with_execution(execution)
-                .run(&w)
-            };
-            let seq = run(Execution::Sequential);
-            let par = run(Execution::parallel(4));
-            assert!(seq.complete, "{name}: sequential run incomplete");
-            assert_same_report(&seq, &par, &name);
-            let (ds, dp) = (cluster_digest(&seq), cluster_digest(&par));
-            assert_eq!(
-                ds, dp,
-                "{name}: Parallel(4) diverged from Sequential (0x{ds:016x} vs 0x{dp:016x})"
-            );
-            (name, ds)
+            let sched = scheduler_spec("tokenflow");
+            let out = ClusterEngine::new(config(), 2, router("least-loaded"), move || {
+                sched.build_scheduler()
+            })
+            .with_autoscaler(policy(which), control)
+            .run(&w);
+            assert!(out.complete, "{name}: run incomplete");
+            (name, cluster_digest(&out))
         })
         .collect();
     assert_digests("autoscale", &measured, &AUTOSCALE_GOLDEN);

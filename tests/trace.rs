@@ -2,9 +2,10 @@
 //!
 //! The trace subsystem's contract, enforced end-to-end:
 //!
-//! 1. **Executor invariance** — the *full* rendered journal (meta events
-//!    and sequence numbers included) is byte-identical under Sequential
-//!    and pooled execution, for every shipped router.
+//! 1. **Execution-spelling invariance** — the *full* rendered journal
+//!    (meta events and sequence numbers included) is byte-identical
+//!    whether the spec names the `"sequential"` executor or a legacy
+//!    parallel form, for every shipped router.
 //! 2. **Fast-path invariance** — the *canonical* journal (meta-filtered,
 //!    seq-stripped) is byte-identical with the plan-horizon fast path on
 //!    and off, single-engine and clustered.
@@ -22,8 +23,8 @@ use tokenflow_core::Engine;
 use tokenflow_metrics::RequestMetrics;
 use tokenflow_model::{HardwareProfile, ModelProfile};
 use tokenflow_scenario::{
-    canonical_trace_jsonl, parse_scenario, request_timeline, router_from_json, trace_digest,
-    trace_jsonl, validate_trace_jsonl, EngineSpec, ExecutionSpec, Json, RateDistSpec, RunOutcome,
+    canonical_trace_jsonl, parse_scenario, request_timeline, router_from_json, scenario_to_json,
+    trace_digest, trace_jsonl, validate_trace_jsonl, EngineSpec, Json, RateDistSpec, RunOutcome,
     ScenarioSpec, TopologySpec, WorkloadSpec,
 };
 use tokenflow_sched::TokenFlowScheduler;
@@ -51,13 +52,16 @@ fn run_traced(spec: ScenarioSpec) -> (RunOutcome, TraceJournal) {
     (outcome, journal)
 }
 
-fn with_execution(mut spec: ScenarioSpec, execution: ExecutionSpec) -> ScenarioSpec {
-    match &mut spec.topology {
-        TopologySpec::Cluster { execution: e, .. } => *e = execution,
-        TopologySpec::Autoscaled { execution: e, .. } => *e = execution,
-        TopologySpec::Single => panic!("single topology has no executor axis"),
-    }
-    spec
+/// The spec re-parsed with its `execution` field spelled as the legacy
+/// `{"type": "parallel", "threads": 3}` object.
+fn with_legacy_parallel_execution(spec: &ScenarioSpec) -> ScenarioSpec {
+    let text = scenario_to_json(spec).emit();
+    let legacy = text.replace(
+        r#""execution":"sequential""#,
+        r#""execution":{"type":"parallel","threads":3}"#,
+    );
+    assert_ne!(text, legacy, "spec has no execution field to respell");
+    parse_scenario(&legacy).expect("legacy execution form parses")
 }
 
 #[test]
@@ -71,13 +75,14 @@ fn full_journal_is_byte_identical_across_executors_for_every_router() {
             }
             _ => panic!("fleet scenario must be a cluster"),
         }
-        let (_, seq_journal) = run_traced(with_execution(spec.clone(), ExecutionSpec::Sequential));
-        let (_, pool_journal) = run_traced(with_execution(spec, ExecutionSpec::Parallel(3)));
+        let legacy = with_legacy_parallel_execution(&spec);
+        let (_, seq_journal) = run_traced(spec);
+        let (_, legacy_journal) = run_traced(legacy);
         let seq_text = trace_jsonl(&seq_journal);
         assert_eq!(
             seq_text,
-            trace_jsonl(&pool_journal),
-            "{router}: pooled journal diverged from sequential"
+            trace_jsonl(&legacy_journal),
+            "{router}: legacy parallel spelling diverged from sequential"
         );
         assert!(
             validate_trace_jsonl(&seq_text).expect("journal validates") > 0,
